@@ -1,7 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -19,20 +19,7 @@ void put_raw(std::ostream& out, const T* data, std::size_t n) {
             static_cast<std::streamsize>(n * sizeof(T)));
 }
 
-template <typename T>
-void get_raw(std::istream& in, T* data, std::size_t n) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) throw std::runtime_error("load_dynamic_state: truncated stream");
-}
-
 void put_u64(std::ostream& out, std::uint64_t v) { put_raw(out, &v, 1); }
-
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  get_raw(in, &v, 1);
-  return v;
-}
 
 void check_size(std::uint64_t got, std::uint64_t want, const char* what) {
   if (got != want)
@@ -63,7 +50,6 @@ ChanId Network::add_channel(NodeId src, NodeId dst, LinkType type, int latency,
   c.latency = static_cast<std::uint8_t>(latency);
   c.width_num = static_cast<std::uint16_t>(width_num);
   c.width_den = static_cast<std::uint16_t>(width_den);
-  c.reset_tokens();
 
   Router& rs = router(src);
   Router& rd = router(dst);
@@ -292,7 +278,6 @@ void Network::reset_dynamic_state() {
   restore_fault_baseline();
   fifos_.reset(pack_ivc(kInvalidPort, kInvalidVc, IvcState::Idle));
   init_port_dynamic_state();
-  for (auto& c : channels_) c.reset_tokens();
 }
 
 void Network::enable_fault_mask() {
@@ -375,11 +360,6 @@ void Network::save_dynamic_state(std::ostream& out) const {
   put_raw(out, f.slots_data(), f.slots_size());
   put_u64(out, port_state_.size());
   put_raw(out, port_state_.data(), port_state_.size());
-  put_u64(out, channels_.size());
-  for (const Channel& c : channels_) {
-    put_raw(out, &c.tokens, 1);
-    put_u64(out, c.token_cycle);
-  }
   put_u64(out, chan_alive_.size());
   put_raw(out, chan_alive_.data(), chan_alive_.size());
   put_u64(out, node_alive_.size());
@@ -389,27 +369,51 @@ void Network::save_dynamic_state(std::ostream& out) const {
   put_u64(out, fault_epoch_);
 }
 
-void Network::load_dynamic_state(std::istream& in) {
+void Network::load_dynamic_state(std::string_view bytes) {
+  // The sized arrays in stream order (see save_dynamic_state), each a u64
+  // element count plus the raw elements, then three u64 fault counters.
+  struct Section {
+    void* data;
+    std::size_t count;
+    std::size_t bytes;
+    const char* what;
+  };
   FlitFifoArena& f = fifos_;
-  check_size(get_u64(in), f.num_fifos(), "fifo control");
-  get_raw(in, f.hm_data(), f.num_fifos());
-  check_size(get_u64(in), f.slots_size(), "fifo slot");
-  get_raw(in, f.slots_data(), f.slots_size());
-  check_size(get_u64(in), port_state_.size(), "port record");
-  get_raw(in, port_state_.data(), port_state_.size());
-  check_size(get_u64(in), channels_.size(), "channel");
-  for (Channel& c : channels_) {
-    get_raw(in, &c.tokens, 1);
-    c.token_cycle = get_u64(in);
+  const Section sections[] = {
+      {f.hm_data(), f.num_fifos(), f.num_fifos() * sizeof(std::uint64_t),
+       "fifo control"},
+      {f.slots_data(), f.slots_size(), f.slots_size() * sizeof(Flit),
+       "fifo slot"},
+      {port_state_.data(), port_state_.size(),
+       port_state_.size() * sizeof(std::uint32_t), "port record"},
+      // The mask arrays may legitimately be empty on both sides (no faults).
+      {chan_alive_.data(), chan_alive_.size(), chan_alive_.size(),
+       "channel mask"},
+      {node_alive_.data(), node_alive_.size(), node_alive_.size(),
+       "node mask"},
+  };
+  // Check the length and every count before writing anything.
+  std::uint64_t tail[3];
+  std::size_t want = sizeof(tail);
+  for (const Section& s : sections) want += sizeof(std::uint64_t) + s.bytes;
+  check_size(bytes.size(), want, "stream");
+  std::size_t pos = 0;
+  for (const Section& s : sections) {
+    std::uint64_t n = 0;
+    std::memcpy(&n, bytes.data() + pos, sizeof(n));
+    check_size(n, s.count, s.what);
+    pos += sizeof(n) + s.bytes;
   }
-  // The mask arrays may legitimately be empty on both sides (no faults).
-  check_size(get_u64(in), chan_alive_.size(), "channel mask");
-  get_raw(in, chan_alive_.data(), chan_alive_.size());
-  check_size(get_u64(in), node_alive_.size(), "node mask");
-  get_raw(in, node_alive_.data(), node_alive_.size());
-  dead_channels_ = get_u64(in);
-  dead_nodes_ = get_u64(in);
-  fault_epoch_ = get_u64(in);
+  pos = 0;
+  for (const Section& s : sections) {
+    pos += sizeof(std::uint64_t);
+    if (s.bytes != 0) std::memcpy(s.data, bytes.data() + pos, s.bytes);
+    pos += s.bytes;
+  }
+  std::memcpy(tail, bytes.data() + pos, sizeof(tail));
+  dead_channels_ = static_cast<std::size_t>(tail[0]);
+  dead_nodes_ = static_cast<std::size_t>(tail[1]);
+  fault_epoch_ = tail[2];
 }
 
 std::vector<std::uint32_t> Network::shard_bounds(int shards) const {

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <iosfwd>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/hugepage.hpp"
@@ -180,15 +181,17 @@ class Network {
   void bump_fault_epoch() { ++fault_epoch_; }
 
   // ---- checkpointing -----------------------------------------------------
-  /// Serializes every mutable word of the network (FIFO arena, port
-  /// records, channel token mirrors, fault mask + epoch) to `out`.
-  /// Topology and static wiring are NOT written: a checkpoint restores
-  /// only onto an identically-built network (the Simulator's checkpoint
-  /// header fingerprints the shape).
+  /// Serializes every mutable word of the network (FIFO arena, packed
+  /// output-port records, fault mask + epoch) to `out`. Topology and static
+  /// wiring are NOT written: a checkpoint restores only onto an
+  /// identically-built network (the Simulator's checkpoint header
+  /// fingerprints the shape).
   void save_dynamic_state(std::ostream& out) const;
-  /// Inverse of save_dynamic_state(); throws std::runtime_error when the
-  /// stream's array sizes do not match this network.
-  void load_dynamic_state(std::istream& in);
+  /// Inverse of save_dynamic_state(): `bytes` must hold exactly one saved
+  /// state. Every array size and the total length are checked against
+  /// this network before anything is written, so a mismatch throws
+  /// std::runtime_error and leaves the network untouched.
+  void load_dynamic_state(std::string_view bytes);
 
   // ---- shard partition map (intra-simulation parallelism) ----------------
   /// Partitions the router id space into `shards` contiguous ranges for the
@@ -409,13 +412,6 @@ class Network {
     return static_cast<PortIx>(node_meta_[static_cast<std::size_t>(r)] >> 8);
   }
 
-  /// Prefetch hooks: addresses of the per-router offset entries.
-  [[nodiscard]] const std::uint32_t* in_port_base_addr(NodeId r) const {
-    return &in_port_base_[static_cast<std::size_t>(r)];
-  }
-  [[nodiscard]] const std::uint32_t* out_port_base_addr(NodeId r) const {
-    return &out_port_base_[static_cast<std::size_t>(r)];
-  }
   [[nodiscard]] std::uint32_t num_in_ports_of(NodeId r) const {
     return in_port_base_[static_cast<std::size_t>(r) + 1] -
            in_port_base_[static_cast<std::size_t>(r)];

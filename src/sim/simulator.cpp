@@ -7,8 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "route/plane_select.hpp"
@@ -97,19 +101,9 @@ std::size_t prepare_context(SimContext& ctx, Network& net) {
 void ck_put(std::ostream& out, const void* p, std::size_t n) {
   out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
 }
-void ck_get(std::istream& in, void* p, std::size_t n) {
-  in.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-  if (!in) throw std::runtime_error("checkpoint: truncated stream");
-}
 template <typename T>
 void ck_put_v(std::ostream& out, const T& v) {
   ck_put(out, &v, sizeof(T));
-}
-template <typename T>
-T ck_get_v(std::istream& in) {
-  T v{};
-  ck_get(in, &v, sizeof(T));
-  return v;
 }
 template <typename T>
 void ck_put_vec(std::ostream& out, const T& vec) {
@@ -117,29 +111,87 @@ void ck_put_vec(std::ostream& out, const T& vec) {
   if (!vec.empty())
     ck_put(out, vec.data(), vec.size() * sizeof(typename T::value_type));
 }
-template <typename T>
-void ck_get_vec(std::istream& in, T& vec) {
-  const auto n = ck_get_v<std::uint64_t>(in);
-  if (n > (1ULL << 40))
-    throw std::runtime_error("checkpoint: implausible vector size");
-  vec.resize(static_cast<std::size_t>(n));
-  if (n)
-    ck_get(in, vec.data(),
-           static_cast<std::size_t>(n) * sizeof(typename T::value_type));
+
+/// Checkpoint stream magic ("sldfckp2" little-endian). The trailing digit
+/// is the format version: bump it whenever the layout changes, so a stream
+/// of another format fails the magic check.
+constexpr std::uint64_t kCkMagic = 0x736c6466636b7032ULL;
+
+/// Checksum over the payload (the bytes between magic and checksum). For
+/// a fixed input word each step is a bijection of the running hash, so
+/// any single changed word — in particular any single-byte flip — always
+/// changes the result.
+std::uint64_t ck_checksum(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ s.size();
+  const auto mix = [&h](std::uint64_t w) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, s.data() + i, 8);
+    mix(w);
+  }
+  std::uint64_t w = 0;
+  std::memcpy(&w, s.data() + i, s.size() - i);
+  mix(w);
+  return h;
 }
-/// Rejects implausible element counts before a resize+raw-read would try
-/// to allocate them (corrupt or truncated-then-misaligned streams).
-void check_ck_size(std::uint64_t n, std::size_t elem_size) {
-  if (n > (1ULL << 40) / elem_size)
-    throw std::runtime_error("checkpoint: implausible size field");
-}
-void ck_expect(std::istream& in, std::uint64_t want, const char* what) {
-  const auto got = ck_get_v<std::uint64_t>(in);
-  if (got != want)
+
+/// Bounds-checked cursor over an in-memory checkpoint payload. Element
+/// counts read from the stream are checked against the bytes left before
+/// anything is sized from them.
+class CkReader {
+ public:
+  explicit CkReader(std::string_view s) : s_(s) {}
+
+  std::string_view take(std::size_t n) {
+    if (n > s_.size()) throw std::runtime_error("checkpoint: truncated stream");
+    const std::string_view out = s_.substr(0, n);
+    s_.remove_prefix(n);
+    return out;
+  }
+  void get(void* p, std::size_t n) {
+    if (n != 0) std::memcpy(p, take(n).data(), n);
+  }
+  template <typename T>
+  T get() {
+    T v{};
+    get(&v, sizeof(T));
+    return v;
+  }
+  /// Reads an element count; throws unless `n * elem` bytes remain.
+  std::size_t count(std::size_t elem) {
+    const auto n = get<std::uint64_t>();
+    if (n > s_.size() / elem)
+      throw std::runtime_error("checkpoint: implausible size field");
+    return static_cast<std::size_t>(n);
+  }
+  template <typename V>
+  void vec(V& v) {
+    v.resize(count(sizeof(typename V::value_type)));
+    get(v.data(), v.size() * sizeof(typename V::value_type));
+  }
+  /// A vector whose length the engine's shape fixes at `want`.
+  template <typename V>
+  void vec(V& v, std::size_t want, const char* what) {
+    vec(v);
+    if (v.size() != want) mismatch(what);
+  }
+  void expect(std::uint64_t want, const char* what) {
+    if (get<std::uint64_t>() != want) mismatch(what);
+  }
+  [[noreturn]] static void mismatch(const char* what) {
     throw std::runtime_error(std::string("checkpoint: ") + what +
                              " mismatch (saved against a different "
                              "network/config shape)");
-}
+  }
+  [[nodiscard]] std::string_view rest() const { return s_; }
+
+ private:
+  std::string_view s_;
+};
 
 /// Heap ordering for SimContext::gen_heap: std::push_heap and friends build
 /// a max-heap, so comparing with "fires later" keeps the EARLIEST pending
@@ -300,9 +352,6 @@ void Simulator::init() {
   }
   rr_plane_.assign(ctx_->terms.size(), 0);
   rebuild_gen_state();
-  // ~3 hot lines per input VC (control word, port record, flit ring)
-  // against a conservative LLC guess; see the member doc.
-  deep_prefetch_ = net_.fifos().num_fifos() >= 32768;
 
   // Online fault timeline: steps are applied at the top of step() as now_
   // reaches them. A schedule without a captured baseline would leak online
@@ -327,15 +376,7 @@ void Simulator::init() {
         ctx_->shard_of[r] = static_cast<std::uint16_t>(k);
     if (ctx_->shard_scratch.size() < static_cast<std::size_t>(shards_))
       ctx_->shard_scratch.resize(static_cast<std::size_t>(shards_));
-    for (auto& sc : ctx_->shard_scratch) {
-      sc.snap.clear();
-      sc.events.clear();
-      sc.tails.clear();
-      sc.runs.clear();
-      sc.flit_hops = 0;
-      sc.accepted_flits = 0;
-      sc.ejected_flits = 0;
-    }
+    for (auto& sc : ctx_->shard_scratch) sc.reset();
     team_ = std::make_unique<ShardTeam>(*this, shards_);
   }
 }
@@ -1317,117 +1358,9 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
   if (!leftover) ctx_->ract[static_cast<std::size_t>(rid)] &= ~2u;
 }
 
-void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
-                                  std::size_t i) {
-  const std::size_t n = snap.size();
-  // Far stage: the per-router offset entries every address computation
-  // below (and the processing itself) goes through.
-  if (i + 8 < n) {
-    const NodeId r8 = snap[i + 8];
-    __builtin_prefetch(&ctx_->ract[static_cast<std::size_t>(r8)]);
-    __builtin_prefetch(net_.in_port_base_addr(r8));
-    __builtin_prefetch(net_.out_port_base_addr(r8));
-  }
-  // Mid stage: the router's pending-bitmask words, so the near stage can
-  // *read* them without stalling.
-  if (i + 5 < n) {
-    const NodeId r5 = snap[i + 5];
-    __builtin_prefetch(&ctx_->ivc_pending[net_.in_vc_index(r5, 0, 0) >> 6]);
-    __builtin_prefetch(&ctx_->port_pending[net_.out_port_index(r5, 0) >> 6]);
-  }
-  // Near stage: the pending bitmasks predict exactly which FIFO control
-  // words (RC/VA scan) and output-port records (SA/ST scan) the router
-  // will touch — issue those prefetches now, in straight-line batches, so
-  // the walk's dependent DRAM misses resolve in parallel instead of
-  // serially. The words are stable this far ahead: during the router walk
-  // every cross-router effect travels through the timing wheel, so only a
-  // router's OWN processing mutates its bits. Relaxed atomic loads because
-  // a neighbouring *shard* may still be flipping its bits of a shared
-  // boundary word; the values only steer prefetches, so a stale view is
-  // harmless.
-  if (!deep_prefetch_) return;
-  if (i + 2 < n && (ctx_->ract[static_cast<std::size_t>(snap[i + 2])] & 2)) {
-    const NodeId r2 = snap[i + 2];
-    const FlitFifoArena& fifos = net_.fifos();
-    const auto nvc = static_cast<std::uint32_t>(net_.num_vcs());
-    const auto word = [](const std::vector<std::uint64_t>& v,
-                         std::uint32_t w) {
-      return std::atomic_ref<std::uint64_t>(
-                 const_cast<std::uint64_t&>(v[w]))
-          .load(std::memory_order_relaxed);
-    };
-    const std::uint32_t ib = net_.in_vc_index(r2, 0, 0);
-    const std::uint32_t vend = ib + net_.num_in_ports_of(r2) * nvc;
-    int left = 16;  // cap per stage: don't flood the load/fill buffers
-    for (std::uint32_t w = ib >> 6; vend > ib && w <= (vend - 1) >> 6; ++w) {
-      std::uint64_t bits = word(ctx_->ivc_pending, w);
-      if (w == (ib >> 6)) bits &= ~0ULL << (ib & 63);
-      if (w == ((vend - 1) >> 6)) bits &= ~0ULL >> (63 - ((vend - 1) & 63));
-      while (bits && left-- > 0) {
-        const std::uint32_t ix =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        __builtin_prefetch(fifos.word_addr(ix));
-      }
-    }
-    const std::uint32_t pb = net_.out_port_index(r2, 0);
-    const std::uint32_t pend = pb + net_.num_out_ports_of(r2);
-    left = 16;
-    for (std::uint32_t w = pb >> 6; pend > pb && w <= (pend - 1) >> 6; ++w) {
-      std::uint64_t bits = word(ctx_->port_pending, w);
-      if (w == (pb >> 6)) bits &= ~0ULL << (pb & 63);
-      if (w == ((pend - 1) >> 6)) bits &= ~0ULL >> (63 - ((pend - 1) & 63));
-      while (bits && left-- > 0) {
-        const std::uint32_t pflat =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        __builtin_prefetch(net_.port_rec(pflat));
-      }
-    }
-  }
-  // Nearest stage: SA candidates. The previous entry's port-record
-  // prefetches have usually landed by now, so the requester lists are
-  // cheap to *read* — prefetch each candidate's FIFO control word, the
-  // grant loop's remaining serial misses. Port records are per-router
-  // (never shard-shared), so plain reads are race-free here.
-  if (i + 1 < n && (ctx_->ract[static_cast<std::size_t>(snap[i + 1])] & 2)) {
-    const NodeId r1 = snap[i + 1];
-    const FlitFifoArena& fifos = net_.fifos();
-    const auto nvc = static_cast<std::uint32_t>(net_.num_vcs());
-    const std::uint32_t ibase = net_.in_vc_index(r1, 0, 0);
-    const std::uint32_t pb = net_.out_port_index(r1, 0);
-    const std::uint32_t pend = pb + net_.num_out_ports_of(r1);
-    int left = 12;
-    for (std::uint32_t w = pb >> 6; pend > pb && w <= (pend - 1) >> 6; ++w) {
-      std::uint64_t bits =
-          std::atomic_ref<std::uint64_t>(
-              const_cast<std::uint64_t&>(ctx_->port_pending[w]))
-              .load(std::memory_order_relaxed);
-      if (w == (pb >> 6)) bits &= ~0ULL << (pb & 63);
-      if (w == ((pend - 1) >> 6)) bits &= ~0ULL >> (63 - ((pend - 1) & 63));
-      while (bits && left > 0) {
-        const std::uint32_t pflat =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint32_t* rec = net_.port_rec(pflat);
-        const std::uint16_t* reqs = Network::ovc16(rec) + nvc;
-        const std::uint32_t nreq = rec[0] & 0xff;
-        for (std::uint32_t k = 0; k < nreq && left > 0; ++k, --left)
-          __builtin_prefetch(fifos.word_addr(
-              ibase + (static_cast<std::uint32_t>(reqs[k]) >> 8) * nvc +
-              (reqs[k] & 0xffu)));
-      }
-    }
-  }
-}
-
 void Simulator::run_shard_phase(int k) {
   ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
-  const auto& snap = sc.snap;
-  const std::size_t n = snap.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    prefetch_snapshot(snap, i);
-    const NodeId rid = snap[i];
+  for (const NodeId rid : sc.snap) {
     if (ctx_->ract[static_cast<std::size_t>(rid)] & 2) {
       const std::size_t ev0 = sc.events.size();
       const std::size_t tl0 = sc.tails.size();
@@ -1439,113 +1372,34 @@ void Simulator::run_shard_phase(int k) {
   }
 }
 
-// One sharded cycle. Serial and sharded execution differ only in *where*
-// the router phase's effects are applied, never in what they are:
+// One cycle. Serial and sharded execution differ only in *where* the
+// router phase's effects are applied, never in what they are:
 //
-//   1. deliver + generate run serially, exactly as in step() — so the RNG
-//      stream, injection decisions, and (adaptive) injection-time
+//   1. fault steps, deliver and generate run serially on every path — so
+//      the RNG stream, injection decisions, and (adaptive) injection-time
 //      occupancy reads observe the identical engine state.
-//   2. The snapshot is split by the chip-aligned shard map and every shard
-//      runs the router pipeline over its slice concurrently. Per-router
-//      work is provably shard-local (routing reads only immutable topology
-//      + the packet + the router's own SoA slices); the only cross-shard
-//      effects — wheel pushes, tail deliveries — are buffered per shard.
+//   2. Sharded: the snapshot is split by the chip-aligned shard map and
+//      every shard runs the router pipeline over its slice concurrently.
+//      Per-router work is provably shard-local (routing reads only
+//      immutable topology + the packet + the router's own SoA slices); the
+//      only cross-shard effects — wheel pushes, tail deliveries — are
+//      buffered per shard.
 //   3. The commit pass walks the *global* snapshot in its original order
 //      and drains each router's buffered run, which reconstructs the
 //      serial engine's exact wheel-slot event order, ejection-stat
 //      accumulation order (fp sums are order-sensitive), listener-callback
 //      order, and packet-pool free-list order. Keep-alive re-activation
-//      happens here too, in the same per-router position as in step().
+//      happens here too, in the same per-router position as in the serial
+//      walk.
 //
 // Hence fixed-seed results are bit-identical for every shard count.
-void Simulator::step_sharded() {
-  deliver_channels();
-  generate_and_inject();
-
-  ctx_->scratch.clear();
-  ctx_->scratch.swap(ctx_->active);
-  for (auto& sc : ctx_->shard_scratch) {
-    sc.snap.clear();
-    sc.events.clear();
-    sc.tails.clear();
-    sc.runs.clear();
-    sc.flit_hops = 0;
-    sc.accepted_flits = 0;
-    sc.ejected_flits = 0;
-    sc.run_cur = sc.ev_cur = sc.tail_cur = 0;
-  }
-  for (NodeId rid : ctx_->scratch) {
-    ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-    ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]]
-        .snap.push_back(rid);
-  }
-
-  if (!ctx_->scratch.empty()) team_->run_phase();
-
-  // Integer tallies first, so a PacketListener fired from commit_tail()
-  // below observes the cycle's full counts (the documented sharded-engine
-  // observability; the sums are order-insensitive).
-  for (const auto& sc : ctx_->shard_scratch) {
-    flit_hops_ += sc.flit_hops;
-    accepted_flits_ += sc.accepted_flits;
-    ejected_flits_ += sc.ejected_flits;
-  }
-  // Cheap-commit fast paths. The full replay below exists only to
-  // interleave the shards' buffered effects back into global snapshot
-  // order; when at most one shard buffered anything there is nothing to
-  // interleave, so drain in one merged pass and keep only the keep-alive
-  // re-activation walk. Both paths are order-equivalent to the replay:
-  // commit_tail() touches stats / the listener / the packet pool but never
-  // `ract` or the active list, and the re-activation walk touches only
-  // those — so "drain everything, then walk" commutes with the
-  // interleaved walk as long as the per-tail and per-event order is
-  // preserved (it is: a single shard's buffer order IS the global order).
-  std::size_t traffic_shards = 0;
-  ShardScratch* only = nullptr;
-  for (auto& sc : ctx_->shard_scratch)
-    if (!sc.events.empty() || !sc.tails.empty()) {
-      ++traffic_shards;
-      only = &sc;
-    }
-  if (traffic_shards <= 1) {
-    if (only != nullptr) {
-      for (const PendingEvent& pe : only->events)
-        ctx_->wheel[pe.slot].push_back(pe.ev);
-      for (PacketId pid : only->tails) commit_tail(pid);
-    }
-    for (NodeId rid : ctx_->scratch)
-      if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
-    ++now_;
-    return;
-  }
-  for (NodeId rid : ctx_->scratch) {
-    ShardScratch& sc =
-        ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]];
-    if (sc.run_cur < sc.runs.size() && sc.runs[sc.run_cur].rid == rid) {
-      const ShardRun& run = sc.runs[sc.run_cur++];
-      for (std::uint32_t e = 0; e < run.num_events; ++e) {
-        const PendingEvent& pe = sc.events[sc.ev_cur++];
-        ctx_->wheel[pe.slot].push_back(pe.ev);
-      }
-      for (std::uint32_t t = 0; t < run.num_tails; ++t)
-        commit_tail(sc.tails[sc.tail_cur++]);
-    }
-    if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
-  }
-  ++now_;
-}
-
 void Simulator::step() {
   // Fault timeline transitions happen at the cycle boundary, before any
-  // engine phase — and always serially, even on the sharded path, so every
-  // shard count observes the identical post-event state.
+  // engine phase, so every shard count observes the identical post-event
+  // state.
   if (fault_sched_ != nullptr && next_fault_ < fault_sched_->steps.size() &&
       fault_sched_->steps[next_fault_].at <= now_)
     apply_fault_steps();
-  if (shards_ > 1) {
-    step_sharded();
-    return;
-  }
   deliver_channels();
   generate_and_inject();
 
@@ -1553,21 +1407,48 @@ void Simulator::step() {
   // lists ping-pong so neither ever re-allocates in steady state.
   ctx_->scratch.clear();
   ctx_->scratch.swap(ctx_->active);
-  for (NodeId rid : ctx_->scratch)
-    ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-  // The active list gives exact lookahead, so the per-router state lines
-  // (scattered in L3) are prefetched in two stages (prefetch_snapshot).
-  const auto& snap = ctx_->scratch;
-  const std::size_t nsnap = snap.size();
-  for (std::size_t i = 0; i < nsnap; ++i) {
-    prefetch_snapshot(snap, i);
-    const NodeId rid = snap[i];
-    // Process only routers with pending RC/VA or SA work (the work flag is
-    // a superset of the pending bits, so a skipped call would have been a
-    // pure no-op; the active list itself is maintained exactly as before).
-    if (ctx_->ract[static_cast<std::size_t>(rid)] & 2) process_router(rid);
-    // Keep the router live while any input VC holds flits.
-    if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
+  if (shards_ == 1) {
+    for (const NodeId rid : ctx_->scratch) {
+      std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(rid)];
+      a &= ~1u;
+      // Process only routers with pending RC/VA or SA work (the work flag
+      // is a superset of the pending bits, so a skipped call would have
+      // been a pure no-op).
+      if (a & 2) process_router(rid);
+      // Keep the router live while any input VC holds flits.
+      if (a > 3) activate_router(rid);
+    }
+  } else {
+    for (auto& sc : ctx_->shard_scratch) sc.reset();
+    for (const NodeId rid : ctx_->scratch) {
+      ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
+      ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]]
+          .snap.push_back(rid);
+    }
+    if (!ctx_->scratch.empty()) team_->run_phase();
+
+    // Integer tallies first, so a PacketListener fired from commit_tail()
+    // below observes the cycle's full counts (the documented sharded-engine
+    // observability; the sums are order-insensitive).
+    for (const auto& sc : ctx_->shard_scratch) {
+      flit_hops_ += sc.flit_hops;
+      accepted_flits_ += sc.accepted_flits;
+      ejected_flits_ += sc.ejected_flits;
+    }
+    for (const NodeId rid : ctx_->scratch) {
+      ShardScratch& sc =
+          ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]];
+      if (sc.run_cur < sc.runs.size() && sc.runs[sc.run_cur].rid == rid) {
+        const ShardRun& run = sc.runs[sc.run_cur++];
+        for (std::uint32_t e = 0; e < run.num_events; ++e) {
+          const PendingEvent& pe = sc.events[sc.ev_cur++];
+          ctx_->wheel[pe.slot].push_back(pe.ev);
+        }
+        for (std::uint32_t t = 0; t < run.num_tails; ++t)
+          commit_tail(sc.tails[sc.tail_cur++]);
+      }
+      if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
+    }
   }
   ++now_;
 }
@@ -1666,188 +1547,222 @@ SimResult Simulator::run() {
   return res;
 }
 
-namespace {
-/// Checkpoint stream magic ("sldfckp1" little-endian).
-constexpr std::uint64_t kCkMagic = 0x736c6466636b7031ULL;
-}  // namespace
+const std::array<std::uint64_t Simulator::*, 14> Simulator::kCkCounters = {
+    &Simulator::accepted_flits_,    &Simulator::generated_measured_,
+    &Simulator::delivered_measured_, &Simulator::delivered_total_,
+    &Simulator::suppressed_,        &Simulator::flit_hops_,
+    &Simulator::dropped_packets_,   &Simulator::dropped_flits_,
+    &Simulator::dropped_measured_,  &Simulator::rescued_packets_,
+    &Simulator::generated_packets_, &Simulator::generated_flits_,
+    &Simulator::ejected_flits_,     &Simulator::lost_flits_};
+const std::array<std::vector<std::uint64_t> Simulator::*, 6>
+    Simulator::kCkTallies = {
+        &Simulator::plane_generated_, &Simulator::plane_delivered_,
+        &Simulator::plane_dropped_,   &Simulator::wafer_generated_,
+        &Simulator::wafer_delivered_, &Simulator::wafer_dropped_};
 
+// Stream layout: magic, payload, checksum(payload). The payload holds the
+// shape fingerprint, the engine state, and finally the network's dynamic
+// state.
 void Simulator::save_checkpoint(std::ostream& out) const {
-  ck_put_v(out, kCkMagic);
+  std::ostringstream body;
   // Shape fingerprint: a restore against a different network/config shape
   // must fail loudly instead of corrupting state.
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_routers()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_channels()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.fifos().num_fifos()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_out_ports()));
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->terms.size()));
-  ck_put_v(out, cfg_.seed);
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.warmup));
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.measure));
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.drain));
-  ck_put_v(out, static_cast<std::int64_t>(cfg_.pkt_len));
-  ck_put_v(out, cfg_.inj_rate_per_chip);
+  ck_put_v(body, static_cast<std::uint64_t>(net_.num_routers()));
+  ck_put_v(body, static_cast<std::uint64_t>(net_.num_channels()));
+  ck_put_v(body, static_cast<std::uint64_t>(net_.fifos().num_fifos()));
+  ck_put_v(body, static_cast<std::uint64_t>(net_.num_out_ports()));
+  ck_put_v(body, static_cast<std::uint64_t>(ctx_->terms.size()));
+  ck_put_v(body, cfg_.seed);
+  ck_put_v(body, static_cast<std::uint64_t>(cfg_.warmup));
+  ck_put_v(body, static_cast<std::uint64_t>(cfg_.measure));
+  ck_put_v(body, static_cast<std::uint64_t>(cfg_.drain));
+  ck_put_v(body, static_cast<std::int64_t>(cfg_.pkt_len));
+  ck_put_v(body, cfg_.inj_rate_per_chip);
 
-  ck_put_v(out, now_);
+  ck_put_v(body, now_);
   const auto rs = rng_.state();
-  ck_put(out, rs.data(), sizeof(rs[0]) * rs.size());
+  ck_put(body, rs.data(), sizeof(rs[0]) * rs.size());
   const OnlineStats::State ls = lat_.state();
-  ck_put(out, &ls, sizeof(ls));
-  ck_put_vec(out, lat_hist_.buckets());
-  ck_put_v(out, lat_hist_.count());
-  ck_put_v(out, lat_hist_.overflow());
-  ck_put_v(out, accepted_flits_);
-  ck_put_v(out, generated_measured_);
-  ck_put_v(out, delivered_measured_);
-  ck_put_v(out, delivered_total_);
-  ck_put_v(out, suppressed_);
-  ck_put_v(out, flit_hops_);
-  ck_put_v(out, dropped_packets_);
-  ck_put_v(out, dropped_flits_);
-  ck_put_v(out, dropped_measured_);
-  ck_put_v(out, rescued_packets_);
-  ck_put_v(out, generated_packets_);
-  ck_put_v(out, generated_flits_);
-  ck_put_v(out, ejected_flits_);
-  ck_put_v(out, lost_flits_);
-  ck_put_vec(out, plane_generated_);
-  ck_put_vec(out, plane_delivered_);
-  ck_put_vec(out, plane_dropped_);
-  ck_put_vec(out, wafer_generated_);
-  ck_put_vec(out, wafer_delivered_);
-  ck_put_vec(out, wafer_dropped_);
-  ck_put_vec(out, rr_plane_);
-  ck_put_v(out, static_cast<std::uint64_t>(next_fault_));
-  ck_put(out, hop_sum_, sizeof(hop_sum_));
+  ck_put(body, &ls, sizeof(ls));
+  ck_put_vec(body, lat_hist_.buckets());
+  ck_put_v(body, lat_hist_.count());
+  ck_put_v(body, lat_hist_.overflow());
+  for (const auto m : kCkCounters) ck_put_v(body, this->*m);
+  for (const auto m : kCkTallies) ck_put_vec(body, this->*m);
+  ck_put_vec(body, rr_plane_);
+  ck_put_v(body, static_cast<std::uint64_t>(next_fault_));
+  ck_put(body, hop_sum_, sizeof(hop_sum_));
 
   // Packet pool: raw slots (POD, streamed chunk-wise — the byte stream is
   // identical to a contiguous layout's) + the free list.
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->pool.capacity()));
+  ck_put_v(body, static_cast<std::uint64_t>(ctx_->pool.capacity()));
   for (std::size_t c = 0; c < ctx_->pool.num_chunks(); ++c) {
     const auto [ptr, cn] = ctx_->pool.chunk(c);
-    ck_put(out, ptr, cn * sizeof(Packet));
+    ck_put(body, ptr, cn * sizeof(Packet));
   }
-  ck_put_vec(out, ctx_->pool.free_list());
+  ck_put_vec(body, ctx_->pool.free_list());
 
   for (const TerminalState& t : ctx_->terms) {
-    ck_put_v(out, t.next_gen);
-    ck_put_v(out, static_cast<std::uint64_t>(t.queue.size()));
+    ck_put_v(body, t.next_gen);
+    ck_put_v(body, static_cast<std::uint64_t>(t.queue.size()));
     for (std::size_t q = 0; q < t.queue.size(); ++q)
-      ck_put_v(out, t.queue.at(q));
-    ck_put_v(out, t.inj_vc);
-    ck_put_v(out, t.pushed);
+      ck_put_v(body, t.queue.at(q));
+    ck_put_v(body, t.inj_vc);
+    ck_put_v(body, t.pushed);
   }
 
-  ck_put_vec(out, ctx_->active);
-  ck_put_vec(out, ctx_->ract);
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->wheel.size()));
-  for (const auto& slot : ctx_->wheel) ck_put_vec(out, slot);
-  ck_put_vec(out, ctx_->ivc_pending);
-  ck_put_vec(out, ctx_->port_pending);
-  ck_put_vec(out, ctx_->ovc_waiters);
-  ck_put_vec(out, ctx_->ivc_wait_next);
-  ck_put_vec(out, ctx_->ivc_pkt);
+  ck_put_vec(body, ctx_->active);
+  ck_put_vec(body, ctx_->ract);
+  ck_put_v(body, static_cast<std::uint64_t>(ctx_->wheel.size()));
+  for (const auto& slot : ctx_->wheel) ck_put_vec(body, slot);
+  ck_put_vec(body, ctx_->ivc_pending);
+  ck_put_vec(body, ctx_->port_pending);
+  ck_put_vec(body, ctx_->ovc_waiters);
+  ck_put_vec(body, ctx_->ivc_wait_next);
+  ck_put_vec(body, ctx_->ivc_pkt);
 
-  net_.save_dynamic_state(out);
+  net_.save_dynamic_state(body);
+  const std::string payload = std::move(body).str();
+  ck_put_v(out, kCkMagic);
+  ck_put(out, payload.data(), payload.size());
+  ck_put_v(out, ck_checksum(payload));
   if (!out) throw std::runtime_error("checkpoint: write failed");
 }
 
 void Simulator::restore_checkpoint(std::istream& in) {
-  if (ck_get_v<std::uint64_t>(in) != kCkMagic)
-    throw std::runtime_error("checkpoint: bad magic (not a checkpoint?)");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_routers()),
-            "router count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_channels()),
-            "channel count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.fifos().num_fifos()),
-            "fifo count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_out_ports()),
-            "port count");
-  ck_expect(in, static_cast<std::uint64_t>(ctx_->terms.size()),
-            "terminal count");
-  ck_expect(in, cfg_.seed, "seed");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.warmup), "warmup");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.measure), "measure");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.drain), "drain");
-  if (ck_get_v<std::int64_t>(in) != static_cast<std::int64_t>(cfg_.pkt_len))
-    throw std::runtime_error("checkpoint: pkt_len mismatch");
-  const double rate = ck_get_v<double>(in);
+  // Everything is read, checked and staged in locals first; engine and
+  // network state change only once the whole stream has passed.
+  const std::string buf{std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()};
+  constexpr std::size_t kWord = sizeof(std::uint64_t);
+  if (buf.size() < 2 * kWord)
+    throw std::runtime_error("checkpoint: truncated stream");
+  std::uint64_t magic = 0;
+  std::uint64_t sum = 0;
+  std::memcpy(&magic, buf.data(), kWord);
+  std::memcpy(&sum, buf.data() + buf.size() - kWord, kWord);
+  if (magic != kCkMagic)
+    throw std::runtime_error(
+        "checkpoint: bad magic (not a checkpoint, or an older format)");
+  CkReader r(std::string_view(buf).substr(kWord, buf.size() - 2 * kWord));
+  if (ck_checksum(r.rest()) != sum)
+    throw std::runtime_error(
+        "checkpoint: checksum mismatch (corrupt or truncated stream)");
+
+  r.expect(net_.num_routers(), "router count");
+  r.expect(net_.num_channels(), "channel count");
+  r.expect(net_.fifos().num_fifos(), "fifo count");
+  r.expect(net_.num_out_ports(), "port count");
+  r.expect(ctx_->terms.size(), "terminal count");
+  r.expect(cfg_.seed, "seed");
+  r.expect(cfg_.warmup, "warmup");
+  r.expect(cfg_.measure, "measure");
+  r.expect(cfg_.drain, "drain");
+  if (r.get<std::int64_t>() != static_cast<std::int64_t>(cfg_.pkt_len))
+    CkReader::mismatch("pkt_len");
+  const auto rate = r.get<double>();
   if (std::memcmp(&rate, &cfg_.inj_rate_per_chip, sizeof(double)) != 0)
-    throw std::runtime_error("checkpoint: inj_rate mismatch");
+    CkReader::mismatch("inj_rate");
 
-  now_ = ck_get_v<Cycle>(in);
+  const auto now = r.get<Cycle>();
   std::array<std::uint64_t, 4> rs{};
-  ck_get(in, rs.data(), sizeof(rs[0]) * rs.size());
-  rng_.set_state(rs);
+  r.get(rs.data(), sizeof(rs));
   OnlineStats::State ls{};
-  ck_get(in, &ls, sizeof(ls));
-  lat_.set_state(ls);
+  r.get(&ls, sizeof(ls));
   std::vector<std::uint64_t> hbuckets;
-  ck_get_vec(in, hbuckets);
-  const auto htotal = ck_get_v<std::uint64_t>(in);
-  const auto hover = ck_get_v<std::uint64_t>(in);
-  lat_hist_.set_state(std::move(hbuckets), htotal, hover);
-  accepted_flits_ = ck_get_v<std::uint64_t>(in);
-  generated_measured_ = ck_get_v<std::uint64_t>(in);
-  delivered_measured_ = ck_get_v<std::uint64_t>(in);
-  delivered_total_ = ck_get_v<std::uint64_t>(in);
-  suppressed_ = ck_get_v<std::uint64_t>(in);
-  flit_hops_ = ck_get_v<std::uint64_t>(in);
-  dropped_packets_ = ck_get_v<std::uint64_t>(in);
-  dropped_flits_ = ck_get_v<std::uint64_t>(in);
-  dropped_measured_ = ck_get_v<std::uint64_t>(in);
-  rescued_packets_ = ck_get_v<std::uint64_t>(in);
-  generated_packets_ = ck_get_v<std::uint64_t>(in);
-  generated_flits_ = ck_get_v<std::uint64_t>(in);
-  ejected_flits_ = ck_get_v<std::uint64_t>(in);
-  lost_flits_ = ck_get_v<std::uint64_t>(in);
-  ck_get_vec(in, plane_generated_);
-  ck_get_vec(in, plane_delivered_);
-  ck_get_vec(in, plane_dropped_);
-  ck_get_vec(in, wafer_generated_);
-  ck_get_vec(in, wafer_delivered_);
-  ck_get_vec(in, wafer_dropped_);
-  ck_get_vec(in, rr_plane_);
-  next_fault_ = static_cast<std::size_t>(ck_get_v<std::uint64_t>(in));
-  ck_get(in, hop_sum_, sizeof(hop_sum_));
+  r.vec(hbuckets);
+  const auto htotal = r.get<std::uint64_t>();
+  const auto hover = r.get<std::uint64_t>();
+  std::array<std::uint64_t, kCkCounters.size()> counters{};
+  for (auto& c : counters) c = r.get<std::uint64_t>();
+  std::array<std::vector<std::uint64_t>, kCkTallies.size()> tallies;
+  for (std::size_t i = 0; i < tallies.size(); ++i)
+    r.vec(tallies[i],
+          static_cast<std::size_t>(i < 3 ? num_planes_ : num_wafers_),
+          i < 3 ? "plane count" : "wafer count");
+  std::vector<std::uint32_t> rr_plane;
+  r.vec(rr_plane, ctx_->terms.size(), "terminal count");
+  const auto next_fault = r.get<std::uint64_t>();
+  if (next_fault > (fault_sched_ ? fault_sched_->steps.size() : 0))
+    CkReader::mismatch("fault timeline");
+  double hop_sum[kNumLinkTypes];
+  r.get(hop_sum, sizeof(hop_sum));
 
-  const auto nslots = ck_get_v<std::uint64_t>(in);
-  check_ck_size(nslots, sizeof(Packet));
-  ctx_->pool.restore_slots(static_cast<std::size_t>(nslots));
-  for (std::size_t c = 0; c < ctx_->pool.num_chunks(); ++c) {
-    const auto [ptr, cn] = ctx_->pool.chunk(c);
-    ck_get(in, ptr, cn * sizeof(Packet));
-  }
+  const std::size_t nslots = r.count(sizeof(Packet));
+  const std::string_view slots = r.take(nslots * sizeof(Packet));
   std::vector<PacketId> free_list;
-  ck_get_vec(in, free_list);
-  ctx_->pool.restore_free_list(std::move(free_list));
+  r.vec(free_list);
+  if (free_list.size() > nslots) CkReader::mismatch("packet free list");
 
-  for (TerminalState& t : ctx_->terms) {
-    t.next_gen = ck_get_v<Cycle>(in);
-    const auto qn = ck_get_v<std::uint64_t>(in);
-    check_ck_size(qn, sizeof(PacketId));
+  std::vector<TerminalState> terms = ctx_->terms;
+  for (TerminalState& t : terms) {
+    t.next_gen = r.get<Cycle>();
     t.queue.clear();
-    for (std::uint64_t q = 0; q < qn; ++q)
-      t.queue.push_back(ck_get_v<PacketId>(in));
-    t.inj_vc = ck_get_v<VcIx>(in);
-    t.pushed = ck_get_v<std::uint16_t>(in);
+    for (std::size_t q = r.count(sizeof(PacketId)); q > 0; --q)
+      t.queue.push_back(r.get<PacketId>());
+    t.inj_vc = r.get<VcIx>();
+    t.pushed = r.get<std::uint16_t>();
   }
 
-  ck_get_vec(in, ctx_->active);
-  ck_get_vec(in, ctx_->ract);
-  const auto saved_wheel = ck_get_v<std::uint64_t>(in);
-  // The saved wheel is at least as large as this engine's minimum (same
-  // network → same max latency), so adopting its size is always legal.
-  check_ck_size(saved_wheel, sizeof(std::vector<WheelEvent>));
-  ctx_->wheel.resize(static_cast<std::size_t>(saved_wheel));
-  wheel_mask_ = static_cast<std::size_t>(saved_wheel) - 1;
-  for (auto& slot : ctx_->wheel) ck_get_vec(in, slot);
-  ck_get_vec(in, ctx_->ivc_pending);
-  ck_get_vec(in, ctx_->port_pending);
-  ck_get_vec(in, ctx_->ovc_waiters);
-  ck_get_vec(in, ctx_->ivc_wait_next);
-  ck_get_vec(in, ctx_->ivc_pkt);
+  const std::size_t nfifo = net_.fifos().num_fifos();
+  const std::size_t nport = net_.num_out_ports();
+  std::vector<NodeId> active;
+  r.vec(active);
+  if (active.size() > net_.num_routers()) CkReader::mismatch("active list");
+  std::vector<std::uint32_t> ract;
+  r.vec(ract, net_.num_routers(), "router count");
+  // Any power-of-two wheel of at least two slots saved against this shape
+  // is legal here (see prepare_context).
+  std::vector<std::vector<WheelEvent>> wheel(r.count(kWord));
+  if (wheel.size() < 2 || !std::has_single_bit(wheel.size()))
+    CkReader::mismatch("timing wheel");
+  for (auto& slot : wheel) r.vec(slot);
+  std::vector<std::uint64_t> ivc_pending;
+  std::vector<std::uint64_t> port_pending;
+  std::vector<std::uint32_t> ovc_waiters;
+  std::vector<std::uint32_t> ivc_wait_next;
+  std::vector<PacketId> ivc_pkt;
+  r.vec(ivc_pending, (nfifo + 63) / 64, "fifo count");
+  r.vec(port_pending, (nport + 63) / 64, "port count");
+  r.vec(ovc_waiters, nport * static_cast<std::size_t>(net_.num_vcs()),
+        "output VC count");
+  r.vec(ivc_wait_next, nfifo, "fifo count");
+  r.vec(ivc_pkt, nfifo, "fifo count");
 
-  net_.load_dynamic_state(in);
+  // The network checks its whole section before writing any of it; after
+  // it succeeds nothing below can fail on the stream's account.
+  net_.load_dynamic_state(r.rest());
+
+  now_ = now;
+  rng_.set_state(rs);
+  lat_.set_state(ls);
+  lat_hist_.set_state(std::move(hbuckets), htotal, hover);
+  for (std::size_t i = 0; i < counters.size(); ++i)
+    this->*kCkCounters[i] = counters[i];
+  for (std::size_t i = 0; i < tallies.size(); ++i)
+    (this->*kCkTallies[i]).swap(tallies[i]);
+  rr_plane_.swap(rr_plane);
+  next_fault_ = static_cast<std::size_t>(next_fault);
+  std::memcpy(hop_sum_, hop_sum, sizeof(hop_sum_));
+  ctx_->pool.restore_slots(nslots);
+  for (std::size_t c = 0, off = 0; c < ctx_->pool.num_chunks(); ++c) {
+    const auto [ptr, cn] = ctx_->pool.chunk(c);
+    std::memcpy(static_cast<void*>(ptr), slots.data() + off,
+                cn * sizeof(Packet));
+    off += cn * sizeof(Packet);
+  }
+  ctx_->pool.restore_free_list(std::move(free_list));
+  ctx_->terms.swap(terms);
+  ctx_->active.swap(active);
+  ctx_->ract.swap(ract);
+  ctx_->wheel.swap(wheel);
+  wheel_mask_ = ctx_->wheel.size() - 1;
+  ctx_->ivc_pending.swap(ivc_pending);
+  ctx_->port_pending.swap(port_pending);
+  ctx_->ovc_waiters.swap(ovc_waiters);
+  ctx_->ivc_wait_next.swap(ivc_wait_next);
+  ctx_->ivc_pkt.swap(ivc_pkt);
   // The event-driven generation structures are derived state: never
   // serialized, always reconstructed from the restored terminals.
   rebuild_gen_state();

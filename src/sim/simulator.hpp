@@ -13,6 +13,7 @@
 // performs no heap allocation.
 #pragma once
 
+#include <array>
 #include <iosfwd>
 #include <memory>
 #include <vector>
@@ -200,6 +201,17 @@ struct alignas(64) ShardScratch {
   std::size_t run_cur = 0;
   std::size_t ev_cur = 0;
   std::size_t tail_cur = 0;
+
+  /// Empties the buffers (keeping their capacity) and zeroes the tallies
+  /// and cursors: at init() and at the top of every sharded cycle.
+  void reset() {
+    snap.clear();
+    events.clear();
+    tails.clear();
+    runs.clear();
+    flit_hops = accepted_flits = ejected_flits = 0;
+    run_cur = ev_cur = tail_cur = 0;
+  }
 };
 
 /// Reusable engine storage. A context handed to consecutive runs (e.g. the
@@ -276,7 +288,7 @@ int resolve_shards(int requested);
 ///
 /// With cfg.shards > 1 phase 3 is executed by a shard team under a
 /// two-phase compute/commit protocol that reproduces the serial engine's
-/// observable orderings exactly (see step_sharded() in simulator.cpp and
+/// observable orderings exactly (see step() in simulator.cpp and
 /// docs/ARCHITECTURE.md, "Threading & determinism model"); phases 1 and 2
 /// stay serial. Fixed-seed results are bit-identical for every shard
 /// count, so `shards` is purely a wall-clock knob.
@@ -353,9 +365,11 @@ class Simulator {
   /// can restore_checkpoint() and continue bit-identically to a run that
   /// was never interrupted (including a later run()).
   void save_checkpoint(std::ostream& out) const;
-  /// Inverse of save_checkpoint(). Throws std::runtime_error when the
-  /// stream is truncated/corrupt or was saved against a different
-  /// network/config shape.
+  /// Inverse of save_checkpoint(). Reads the whole stream and checks its
+  /// magic, trailing checksum and every size field before any state
+  /// changes: a truncated, corrupt or older-format stream, or one saved
+  /// against a different network/config shape, throws std::runtime_error
+  /// and leaves the engine and network untouched.
   void restore_checkpoint(std::istream& in);
 
   /// Resolved shard count this engine runs with (>= 1; clamped to the
@@ -398,14 +412,9 @@ class Simulator {
   /// Compute phase of one sharded cycle for shard `k` (runs concurrently
   /// with the other shards' phases; touches only shard-local state).
   void run_shard_phase(int k);
-  /// Two-stage lookahead prefetch for position `i` of a snapshot walk
-  /// (far = per-router offset entries, near = the state lines those
-  /// offsets point at), shared by the serial and sharded snapshot loops.
-  void prefetch_snapshot(const std::vector<NodeId>& snap, std::size_t i);
   /// Commit + stats for one delivered tail packet (shared by the serial
   /// handle_eject path and the sharded commit pass; `p` == pool[pid]).
   void commit_tail(PacketId pid);
-  void step_sharded();
 
   void activate_router(NodeId id) {
     std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
@@ -455,11 +464,6 @@ class Simulator {
   double per_node_pkt_rate_ = 0.0;
   std::size_t wheel_mask_ = 0;
   std::size_t inj_terms_ = 0;  ///< Terminals with a non-empty source queue.
-  /// Run the bitmask-directed exact-prefetch stages of the snapshot walk.
-  /// Set in init(): true only when the SoA arenas outsize the last-level
-  /// cache (large fabrics); on small ones every line is resident and the
-  /// extra reads/prefetches are measured pure overhead (~10%).
-  bool deep_prefetch_ = false;
   int shards_ = 1;                    ///< Resolved count (see shards()).
   std::unique_ptr<ShardTeam> team_;   ///< Worker threads (shards_ > 1).
 
@@ -501,6 +505,12 @@ class Simulator {
   std::vector<std::uint64_t> wafer_dropped_;
   int num_wafers_ = 1;  ///< Cached net_.num_wafers() (init()).
   double hop_sum_[kNumLinkTypes] = {};
+
+  // Checkpoint field lists, in stream order (shared by save and restore).
+  static const std::array<std::uint64_t Simulator::*, 14> kCkCounters;
+  /// plane_generated_ .. wafer_dropped_: three per-plane, three per-wafer.
+  static const std::array<std::vector<std::uint64_t> Simulator::*, 6>
+      kCkTallies;
 };
 
 /// Convenience wrapper: reset + simulate (one-shot context).

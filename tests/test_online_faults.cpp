@@ -3,12 +3,17 @@
 // permutation (verb validation, static-prefix equivalence), engine
 // application (fail -> repair -> fail bit-identity across repeat runs and
 // shard counts, rescue-vs-drop accounting, closed-loop failure surfacing),
-// checkpoint/resume mid-timeline, the transient-vs-permanent audit, and
-// the placement allocator's fault-epoch guard.
+// checkpoint/resume mid-timeline and corrupt-checkpoint rejection, the
+// transient-vs-permanent audit, and the placement allocator's fault-epoch
+// guard.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <random>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -402,6 +407,94 @@ TEST(Checkpoint, RejectsShapeMismatchAndTruncation) {
   std::stringstream cut(full.substr(0, full.size() / 2));
   sim::Simulator c(net2, cfg, *pat2);
   EXPECT_THROW(c.restore_checkpoint(cut), std::runtime_error);
+}
+
+namespace {
+
+/// One fixed-seed tiny-swless engine (uniform traffic at 0.2), for the
+/// corrupt-stream tests. `ctx` is exposed so a test can find state inside
+/// the checkpoint bytes.
+struct CkEngine {
+  sim::Network net;
+  std::unique_ptr<sim::TrafficSource> pat;
+  sim::SimContext ctx;
+  std::unique_ptr<sim::Simulator> sim;
+
+  CkEngine() {
+    core::build_network(net, tiny_spec());
+    pat = traffic::make_pattern("uniform", net, {});
+    sim::SimConfig cfg = tiny_spec().sim;
+    cfg.inj_rate_per_chip = 0.2;
+    sim = std::make_unique<sim::Simulator>(net, cfg, *pat, ctx);
+  }
+  std::string checkpoint_at(Cycle at) {
+    while (sim->now() < at) sim->step();
+    std::stringstream ck;
+    sim->save_checkpoint(ck);
+    return ck.str();
+  }
+  /// True when restoring `bytes` throws std::runtime_error.
+  bool rejects(const std::string& bytes) {
+    std::stringstream in(bytes);
+    try {
+      sim->restore_checkpoint(in);
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  }
+};
+
+}  // namespace
+
+TEST(Checkpoint, RejectsCorruptStreamsBeforeAnyStateChange) {
+  CkEngine a;
+  const std::string bytes = a.checkpoint_at(60);
+  CkEngine b;
+
+  // One corrupt word: active[0] overwritten with an out-of-range router id,
+  // which the next step() would index with. Find the serialized list (its
+  // u64 count followed by the ids) by content.
+  const auto& active = a.ctx.active;
+  ASSERT_FALSE(active.empty());
+  std::string needle(sizeof(std::uint64_t), '\0');
+  const std::uint64_t n = active.size();
+  std::memcpy(needle.data(), &n, sizeof(n));
+  needle.append(reinterpret_cast<const char*>(active.data()),
+                active.size() * sizeof(NodeId));
+  const auto at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad_id = bytes;
+  const NodeId bad = 0x7ffffff0;
+  std::memcpy(bad_id.data() + at + sizeof(n), &bad, sizeof(bad));
+  EXPECT_TRUE(b.rejects(bad_id));
+
+  // The format-1 magic ("sldfckp1") in front of an otherwise intact stream.
+  std::string old_magic = bytes;
+  const std::uint64_t v1 = 0x736c6466636b7031ULL;
+  std::memcpy(old_magic.data(), &v1, sizeof(v1));
+  EXPECT_TRUE(b.rejects(old_magic));
+
+  std::mt19937_64 rng(20261017);
+  for (int i = 0; i < 64; ++i) {
+    std::string m = bytes;
+    const std::size_t pos = rng() % m.size();
+    m[pos] = static_cast<char>(m[pos] ^ static_cast<char>(1 + rng() % 255));
+    EXPECT_TRUE(b.rejects(m)) << "flip at byte " << pos;
+  }
+  for (int i = 0; i < 32; ++i) {
+    const std::size_t len = rng() % bytes.size();
+    EXPECT_TRUE(b.rejects(bytes.substr(0, len))) << "truncated to " << len;
+  }
+
+  // No rejected stream touched the engine: it still runs exactly like a
+  // fresh one, and the intact stream still restores.
+  EXPECT_EQ(b.sim->now(), 0u);
+  CkEngine fresh;
+  expect_bit_identical(fresh.sim->run(), b.sim->run());
+  CkEngine c;
+  EXPECT_FALSE(c.rejects(bytes));
+  EXPECT_EQ(c.sim->now(), 60u);
 }
 
 // -------------------------------------------------------------- audit_at ---

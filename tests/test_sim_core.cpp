@@ -1,6 +1,7 @@
 // White-box tests of the simulation engine: hand-built micro-networks
-// exercising credit flow control, wormhole ordering, bandwidth tokens,
-// latency accounting, and backpressure.
+// exercising credit flow control, wormhole ordering, the port-record
+// bandwidth token bucket (full and fractional channel widths), latency
+// accounting, and backpressure.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -228,22 +229,6 @@ TEST(SimCore, NetworkValidationThrows) {
   FixedTraffic tr(1);
   Network empty;
   EXPECT_THROW(Simulator(empty, cfg, tr), std::logic_error);
-}
-
-TEST(SimCore, ChannelTokenBucket) {
-  Channel c;
-  c.width_num = 3;
-  c.width_den = 4;
-  c.reset_tokens();
-  int sent = 0;
-  for (Cycle t = 0; t < 400; ++t) {
-    c.refresh_tokens(t);
-    while (c.flit_allowance() > 0) {
-      c.consume_token();
-      ++sent;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(sent) / 400.0, 0.75, 0.02);
 }
 
 TEST(SimCore, FifoArenaRing) {
