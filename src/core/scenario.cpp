@@ -1,17 +1,22 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/network.hpp"
 #include "topo/plane_set.hpp"
 #include "topo/wafer_stack.hpp"
+#include "trace/placement.hpp"
 #include "traffic/pattern.hpp"
 #include "workload/registry.hpp"
 
@@ -25,382 +30,507 @@ std::string format_num(double v) {
   return buf;
 }
 
-long to_long(const std::string& key, const std::string& value) {
+std::string join(const std::vector<std::string>& items, const char* sep) {
+  std::string out;
+  for (const auto& item : items) {
+    if (!out.empty()) out += sep;
+    out += item;
+  }
+  return out;
+}
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& expects,
+                            const std::string& value) {
+  throw std::invalid_argument("scenario key '" + key + "' expects " +
+                              expects + ", got '" + value + "'");
+}
+
+long parse_int(const std::string& key, const std::string& text, long lo,
+               long hi) {
   long v = 0;
-  if (!Cli::parse_long(value, v))
-    throw std::invalid_argument("scenario key '" + key +
-                                "' expects an integer, got '" + value + "'");
+  if (!Cli::parse_long(text, v) || v < lo || v > hi)
+    bad_value(key,
+              lo == LONG_MIN   ? std::string("an integer")
+              : hi == LONG_MAX ? "an integer >= " + std::to_string(lo)
+                               : "an integer in [" + std::to_string(lo) +
+                                     ", " + std::to_string(hi) + "]",
+              text);
   return v;
 }
 
-double to_double(const std::string& key, const std::string& value) {
-  double v = 0.0;
-  if (!Cli::parse_double(value, v))
-    throw std::invalid_argument("scenario key '" + key +
-                                "' expects a number, got '" + value + "'");
-  return v;
+// A typed value: its parser (which enforces the key's range and names the
+// key in every error) and its renderer.
+template <typename T>
+struct Codec {
+  std::function<T(const std::string& key, const std::string& text)> parse;
+  std::function<std::string(const T&)> render;
+};
+
+template <typename T>
+constexpr long kLongMax = std::cmp_less(std::numeric_limits<T>::max(), LONG_MAX)
+                              ? static_cast<long>(std::numeric_limits<T>::max())
+                              : LONG_MAX;
+
+template <typename T>
+Codec<T> count(long lo, long hi = kLongMax<T>) {
+  return {[lo, hi](const std::string& key, const std::string& text) {
+            return static_cast<T>(parse_int(key, text, lo, hi));
+          },
+          [](const T& v) { return std::to_string(v); }};
 }
 
-std::vector<double> to_rates(const std::string& value) {
-  std::vector<double> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = Cli::trim(item);
-    if (item.empty()) continue;
-    out.push_back(to_double("rates", item));
-  }
-  return out;
+// A count >= 0 where `auto` (rendered for 0) defers the choice to run time.
+template <typename T>
+Codec<T> count_or_auto() {
+  return {[](const std::string& key, const std::string& text) {
+            long v = 0;
+            if (text == "auto") return T{0};
+            if (!Cli::parse_long(text, v) || v < 0 || v > kLongMax<T>)
+              bad_value(key, "a count >= 0 or 'auto'", text);
+            return static_cast<T>(v);
+          },
+          [](const T& v) {
+            return v == 0 ? std::string("auto") : std::to_string(v);
+          }};
 }
 
-std::vector<ChipId> to_chips(const std::string& value) {
-  std::vector<ChipId> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = Cli::trim(item);
-    if (item.empty()) continue;
-    const long v = to_long("fault.chips", item);
-    if (v < 0)
-      throw std::invalid_argument(
-          "scenario key 'fault.chips' expects non-negative chip ids");
-    out.push_back(static_cast<ChipId>(v));
+Codec<double> number(const char* expects, bool (*ok)(double)) {
+  return {[expects, ok](const std::string& key, const std::string& text) {
+            double v = 0.0;
+            if (!Cli::parse_double(text, v) || !ok(v))
+              bad_value(key, expects, text);
+            return v;
+          },
+          [](const double& v) { return format_num(v); }};
+}
+Codec<double> positive() {
+  return number("a finite number > 0",
+                [](double v) { return std::isfinite(v) && v > 0.0; });
+}
+Codec<double> non_negative() {
+  return number("a finite number >= 0",
+                [](double v) { return std::isfinite(v) && v >= 0.0; });
+}
+Codec<double> fraction() {
+  return number("a fraction in [0, 1]",
+                [](double v) { return v >= 0.0 && v <= 1.0; });
+}
+
+// Free text; `check` (when given) validates it, throwing its own error.
+Codec<std::string> text(void (*check)(const std::string&) = nullptr) {
+  return {[check](const std::string&, const std::string& v) {
+            if (check) check(v);
+            return v;
+          },
+          [](const std::string& v) { return v; }};
+}
+
+// A comma-separated list of `item`s, at least `min_items` of them.
+template <typename T>
+Codec<std::vector<T>> list(Codec<T> item, std::size_t min_items = 0) {
+  return {[item, min_items](const std::string& key, const std::string& text) {
+            std::vector<T> out;
+            std::stringstream ss(text);
+            std::string tok;
+            while (std::getline(ss, tok, ',')) {
+              tok = Cli::trim(tok);
+              if (tok.empty())
+                bad_value(key, "a comma-separated list without empty items",
+                          text);
+              out.push_back(item.parse(key, tok));
+            }
+            if (out.size() < min_items)
+              bad_value(key, "a non-empty comma-separated list", text);
+            return out;
+          },
+          [item](const std::vector<T>& v) {
+            std::vector<std::string> items;
+            for (const T& x : v) items.push_back(item.render(x));
+            return join(items, ",");
+          }};
+}
+
+// Every enumerator's name, in order: each enum's to_string() returns "?"
+// past its last enumerator, and accepts back what it returns.
+template <typename E>
+std::vector<std::string> enum_names() {
+  std::vector<std::string> names;
+  for (int i = 0;; ++i) {
+    std::string n = to_string(static_cast<E>(i));
+    if (n == "?") return names;
+    names.push_back(std::move(n));
   }
-  return out;
+}
+
+// The reference-table rendering of an enum's names: `a` \| `b`.
+template <typename E>
+std::string alternatives() {
+  return "`" + join(enum_names<E>(), "` \\| `") + "`";
+}
+
+template <typename E>
+Codec<E> choice(E (*parse)(const std::string&)) {
+  return {[parse](const std::string& key, const std::string& text) {
+            try {
+              return parse(text);
+            } catch (const std::invalid_argument&) {
+              bad_value(key, "one of " + join(enum_names<E>(), "|"), text);
+            }
+          },
+          [](const E& v) { return std::string(to_string(v)); }};
+}
+
+const ScenarioSpec& defaults() {
+  static const ScenarioSpec d;
+  return d;
+}
+
+// A table entry's behaviour, before its name and meaning are attached.
+struct Binding {
+  std::string def;
+  decltype(ScenarioKey::parse) parse;
+  decltype(ScenarioKey::show) show;
+};
+
+// When to_kv() writes a plain key: always, or only when the spec's value
+// differs from the default spec's. A gate, when given, must also hold.
+enum class Emit { Always, IfSet };
+using Gate = bool (*)(const ScenarioSpec&);
+
+template <typename T, typename Get>
+Binding bind(Get get, Codec<T> c, Emit emit, Gate gate) {
+  return {c.render(get(defaults())),
+          [get, parse = c.parse](ScenarioSpec& s, const std::string& key,
+                                 const std::string& value) {
+            get(s) = parse(key, value);
+          },
+          [get, render = c.render, emit, gate](
+              const ScenarioSpec& s, const std::string& name, KvMap& kv) {
+            if (gate != nullptr && !gate(s)) return;
+            if (emit == Emit::IfSet && get(s) == get(defaults())) return;
+            kv[name] = render(get(s));
+          }};
+}
+
+template <typename T>
+Binding field(T ScenarioSpec::*m, Codec<T> c, Emit emit = Emit::Always,
+              Gate gate = nullptr) {
+  return bind([m](auto& s) -> auto& { return s.*m; }, c, emit, gate);
+}
+
+template <typename O, typename T>
+Binding field(O ScenarioSpec::*o, T O::*m, Codec<T> c,
+              Emit emit = Emit::Always, Gate gate = nullptr) {
+  return bind([o, m](auto& s) -> auto& { return (s.*o).*m; }, c, emit, gate);
+}
+
+// The variable part of a family key: everything after its first '.'.
+std::string suffix(const std::string& key) {
+  return key.substr(key.find('.') + 1);
+}
+
+// A family name with its placeholders filled in: `tenant<i>.<opt>` with
+// index 2 and sub `kib` is `tenant2.kib`.
+std::string instantiate(std::string name, const std::string& index,
+                        const std::string& sub) {
+  if (const auto i = name.find("<i>"); i != std::string::npos)
+    name.replace(i, 3, index);
+  const auto lt = name.find('<');
+  return lt == std::string::npos ? name : name.substr(0, lt) + sub;
+}
+
+// Whether `key` is an instance of table name `name`: a plain name matches
+// itself; in a family, `<i>` matches a decimal index and a trailing `<...>`
+// any non-empty remainder.
+bool matches(std::string_view name, std::string_view key) {
+  const auto lt = name.find('<');
+  if (lt == std::string_view::npos) return name == key;
+  if (key.substr(0, lt) != name.substr(0, lt)) return false;
+  name.remove_prefix(lt);
+  key.remove_prefix(lt);
+  if (!name.starts_with("<i>")) return !key.empty();
+  std::size_t digits = 0;
+  while (digits < key.size() && key[digits] >= '0' && key[digits] <= '9')
+    ++digits;
+  return digits > 0 && matches(name.substr(3), key.substr(digits));
+}
+
+// `topo.<param>`-style families: a pass-through option map.
+Binding options(KvMap ScenarioSpec::*m) {
+  return {"",
+          [m](ScenarioSpec& s, const std::string& key,
+              const std::string& value) { (s.*m)[suffix(key)] = value; },
+          [m](const ScenarioSpec& s, const std::string& name, KvMap& kv) {
+            for (const auto& [k, v] : s.*m) kv[instantiate(name, "", k)] = v;
+          }};
+}
+
+// The tenant a `tenant<i>.*` key addresses. The tenant vector grows on
+// demand, so keys apply in any order (KvMap iteration delivers tenant0.*
+// before the `tenants` count).
+ScenarioSpec::TenantKeys& tenant_of(ScenarioSpec& s, const std::string& key) {
+  const auto dot = key.find('.');
+  auto begin = dot;
+  while (begin > 0 && key[begin - 1] >= '0' && key[begin - 1] <= '9') --begin;
+  const auto i = static_cast<std::size_t>(
+      parse_int(key, key.substr(begin, dot - begin), 0, 63));
+  if (s.tenant.size() <= i) s.tenant.resize(i + 1);
+  return s.tenant[i];
+}
+
+Binding tenant_field(std::string ScenarioSpec::TenantKeys::*m) {
+  return {"",
+          [m](ScenarioSpec& s, const std::string& key,
+              const std::string& value) { tenant_of(s, key).*m = value; },
+          [m](const ScenarioSpec& s, const std::string& name, KvMap& kv) {
+            for (std::size_t i = 0; i < s.tenant.size(); ++i)
+              if (!(s.tenant[i].*m).empty())
+                kv[instantiate(name, std::to_string(i), "")] = s.tenant[i].*m;
+          }};
+}
+
+Binding tenant_options() {
+  return {"",
+          [](ScenarioSpec& s, const std::string& key,
+             const std::string& value) {
+            tenant_of(s, key).opts[suffix(key)] = value;
+          },
+          [](const ScenarioSpec& s, const std::string& name, KvMap& kv) {
+            for (std::size_t i = 0; i < s.tenant.size(); ++i)
+              for (const auto& [k, v] : s.tenant[i].opts)
+                kv[instantiate(name, std::to_string(i), k)] = v;
+          }};
+}
+
+// `wafer.width`: a token fraction `N/D`, or a plain integer multiplier.
+std::string width_text(int num, int den) {
+  return den == 1 ? std::to_string(num)
+                  : std::to_string(num) + "/" + std::to_string(den);
+}
+
+Binding wafer_width() {
+  return {width_text(defaults().wafer_width_num, defaults().wafer_width_den),
+          [](ScenarioSpec& s, const std::string& key,
+             const std::string& value) {
+            long num = 0, den = 1;
+            const auto slash = value.find('/');
+            const bool ok =
+                slash == std::string::npos
+                    ? Cli::parse_long(value, num)
+                    : Cli::parse_long(value.substr(0, slash), num) &&
+                          Cli::parse_long(value.substr(slash + 1), den);
+            if (!ok || num < 1 || den < 1 || num > INT_MAX || den > INT_MAX)
+              bad_value(key, "a positive width `N` or fraction `N/D`", value);
+            s.wafer_width_num = static_cast<int>(num);
+            s.wafer_width_den = static_cast<int>(den);
+          },
+          [](const ScenarioSpec& s, const std::string& name, KvMap& kv) {
+            const ScenarioSpec& d = defaults();
+            if (s.wafer_count > 0 && (s.wafer_width_num != d.wafer_width_num ||
+                                      s.wafer_width_den != d.wafer_width_den))
+              kv[name] = width_text(s.wafer_width_num, s.wafer_width_den);
+          }};
+}
+
+ScenarioKey entry(std::string name, std::string meaning, Binding b,
+                  std::string def = "") {
+  return {std::move(name), std::move(meaning),
+          def.empty() ? std::move(b.def) : std::move(def), std::move(b.parse),
+          std::move(b.show)};
+}
+
+const ScenarioKey* find_key(const std::string& key) {
+  for (const ScenarioKey& k : scenario_keys())
+    if (matches(k.name, key)) return &k;
+  return nullptr;
 }
 
 }  // namespace
 
+const std::vector<ScenarioKey>& scenario_keys() {
+  // Defaults render from ScenarioSpec{} unless an entry names a sentinel
+  // ("unset") the value alone cannot say. Within a family, specific names
+  // precede the catch-all `<opt>`: the first matching entry wins.
+  using S = ScenarioSpec;
+  using Sim = sim::SimConfig;
+  using Fault = topo::FaultSpec;
+  using enum Emit;
+  static const std::vector<ScenarioKey> table = [] {
+    const Gate sweep_by_count = [](const S& s) { return s.rates.empty(); };
+    const Gate planes = [](const S& s) { return s.plane_count > 0; };
+    const Gate wafers = [](const S& s) { return s.wafer_count > 0; };
+    const auto flag = count<bool>(0, 1);
+    // Seeds keep their historical parse: any integer, taken modulo 2^64.
+    const auto seed = count<std::uint64_t>(LONG_MIN);
+    return std::vector<ScenarioKey>{
+        entry("label", "Series label in tables/CSV", field(&S::label, text())),
+        entry("topology", "Topology registry name (see Topologies)",
+              field(&S::topology, text())),
+        entry("topo.<param>",
+              "Topology parameter override, e.g. `topo.g = 15` (see "
+              "Topologies)",
+              options(&S::topo), "preset values"),
+        entry("mode", "Routing: " + alternatives<route::RouteMode>(),
+              field(&S::mode, choice(route::parse_route_mode))),
+        entry("scheme", "VC scheme: " + alternatives<route::VcScheme>(),
+              field(&S::scheme, choice(route::parse_vc_scheme))),
+        entry("traffic", "Traffic registry name (see Traffic patterns)",
+              field(&S::traffic, text())),
+        entry("traffic.<opt>",
+              "Traffic pattern option, e.g. `traffic.scope = wgroup` (see "
+              "Traffic patterns)",
+              options(&S::traffic_opts), "pattern defaults"),
+        entry("workload",
+              "Workload registry name; switches to one closed-loop "
+              "message-level run (see Workloads)",
+              field(&S::workload, text(), IfSet), "unset (rate sweep)"),
+        entry("workload.<opt>",
+              "Workload generator/runner option, e.g. `workload.kib = 64` "
+              "(see Workloads)",
+              options(&S::workload_opts), "workload defaults"),
+        entry("rates", "Explicit offered loads, comma-separated (rate sweeps)",
+              field(&S::rates, list(positive()), IfSet), "unset"),
+        entry("max_rate", "With `points`, linspace(0, max] when `rates` is unset",
+              field(&S::max_rate, positive(), Always, sweep_by_count)),
+        entry("points", "Sweep points when `rates` is unset",
+              field(&S::points, count<int>(1), Always, sweep_by_count)),
+        entry("stop_factor",
+              "Early-stop when latency exceeds this x zero-load latency",
+              field(&S::stop_latency_factor, non_negative())),
+        entry("threads",
+              "Sweep-point parallelism within one series (`auto`/0 = "
+              "hardware)",
+              field(&S::threads, count_or_auto<unsigned>())),
+        entry("shards",
+              "Intra-simulation engine shards — N threads per simulation, "
+              "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` "
+              "env or 1)",
+              field(&S::sim, &Sim::shards, count_or_auto<int>())),
+        entry("warmup", "Warmup cycles (Table IV: 5000)",
+              field(&S::sim, &Sim::warmup, count<Cycle>(0))),
+        entry("measure", "Measured cycles (Table IV: 10000)",
+              field(&S::sim, &Sim::measure, count<Cycle>(1))),
+        entry("drain", "Extra cycles to let measured packets land",
+              field(&S::sim, &Sim::drain, count<Cycle>(0))),
+        entry("pkt_len", "Flits per packet",
+              field(&S::sim, &Sim::pkt_len, count<int>(1, 65535))),
+        entry("seed", "Base RNG seed", field(&S::sim, &Sim::seed, seed)),
+        entry("max_src_queue", "Per-node source-queue cap (packets)",
+              field(&S::sim, &Sim::max_src_queue, count<int>(1))),
+        entry("fault.rate",
+              "Fraction of candidate cables to fail (deterministic, seeded; "
+              "see Resilience)",
+              field(&S::fault, &Fault::rate, fraction(), IfSet)),
+        entry("fault.kind",
+              "Failed-link class: " + alternatives<topo::FaultKind>(),
+              field(&S::fault, &Fault::kind, choice(topo::parse_fault_kind),
+                    IfSet)),
+        entry("fault.seed", "Fault-set RNG seed (independent of `seed`)",
+              field(&S::fault, &Fault::seed, seed, IfSet)),
+        entry("fault.chips", "Chips to fail entirely, comma-separated ids",
+              field(&S::fault, &Fault::chips, list(count<ChipId>(0)), IfSet),
+              "unset"),
+        entry("fault.events",
+              "Online fault timeline, `fail|repair@<cycle>:<kind>=<rate>` or "
+              "`...:chip<N>`, `;`-separated (see Resilience)",
+              // Parsed now so a malformed timeline fails at config-read time
+              // with the typed FaultError; build_network() re-resolves the
+              // kept string against the finalized network.
+              field(&S::fault, &Fault::events,
+                    text([](const std::string& v) {
+                      topo::parse_fault_events(v);
+                    }),
+                    IfSet),
+              "unset"),
+        entry("fault.schedule",
+              "Fault-timeline file (`sldf-faults 1` format); exclusive with "
+              "`fault.events`",
+              field(&S::fault, &Fault::schedule, text(), IfSet), "unset"),
+        entry("fault.rescue",
+              "Retransmit packets torn by an online failure (`0`: drop and "
+              "count them)",
+              field(&S::fault, &Fault::rescue, flag, IfSet)),
+        entry("fault.plane",
+              "Restrict cable failures to one plane of a multi-plane fabric "
+              "(`-1` = all planes; `fault.chips` always spans planes)",
+              field(&S::fault, &Fault::plane, count<int>(-1), IfSet),
+              "-1 (all planes)"),
+        entry("plane.count",
+              "Independent fabric planes (rails) sharing the logical chips; "
+              "packets pick a plane at injection (see Multi-plane fabrics)",
+              field(&S::plane_count, count<int>(1), IfSet),
+              "unset (classic single-fabric build)"),
+        entry("plane.mix",
+              "Per-plane topology registry names, comma-separated (length = "
+              "`plane.count`)",
+              field(&S::plane_mix, list(text(), 1), IfSet, planes),
+              "`plane.count` copies of `topology`"),
+        entry("plane.policy",
+              "Plane selection: " + alternatives<route::PlanePolicy>(),
+              field(&S::plane_policy, choice(route::parse_plane_policy),
+                    Always, planes)),
+        entry("wafer.count",
+              "Wafer-on-wafer stack depth: that many copies of `topology` "
+              "bonded by vertical inter-wafer cables, one vertical hop max "
+              "(see Wafer stacks)",
+              field(&S::wafer_count, count<int>(1), IfSet),
+              "unset (classic single-fabric build)"),
+        entry("wafer.latency", "Vertical-bond channel latency, cycles",
+              field(&S::wafer_latency, count<int>(1, 255), IfSet, wafers)),
+        entry("wafer.width",
+              "Vertical-bond token width, `N` or fraction `N/D` of a flit per "
+              "cycle",
+              wafer_width()),
+        entry("tenants",
+              "Concurrent tenant jobs; > 0 switches to one shared "
+              "multi-tenant serving run (see Multi-tenancy)",
+              field(&S::tenants, count<int>(0), IfSet), "0 (single job)"),
+        entry("tenants.isolation",
+              "Also run each tenant alone on its placement and report the "
+              "interference ratio (`0` disables the baselines)",
+              field(&S::tenants_isolation, flag, IfSet)),
+        entry("tenant<i>.workload",
+              "Tenant i's workload registry name (required for each tenant)",
+              tenant_field(&S::TenantKeys::workload), "unset"),
+        entry("tenant<i>.placement",
+              "Tenant i's chip placement: " +
+                  alternatives<trace::PlacementPolicy>(),
+              tenant_field(&S::TenantKeys::placement), "contiguous"),
+        entry("tenant<i>.chips",
+              "Tenant i's chips: a count to allocate, or explicit "
+              "comma-separated ids",
+              tenant_field(&S::TenantKeys::chips), "unset"),
+        entry("tenant<i>.<opt>",
+              "Workload option for tenant i, e.g. `tenant0.kib = 64` (see "
+              "Workloads)",
+              tenant_options(), "workload defaults"),
+        entry("trace.file",
+              "Trace file the `trace-replay` workload replays (see "
+              "Multi-tenancy)",
+              field(&S::trace_file, text(), IfSet), "unset"),
+        entry("trace.seed",
+              "Seed for synthesized `request-reply` arrivals (independent of "
+              "`seed`)",
+              field(&S::trace_seed, seed, IfSet)),
+    };
+  }();
+  return table;
+}
+
+bool is_scenario_key(const std::string& key) {
+  return find_key(key) != nullptr;
+}
+
 void ScenarioSpec::set(const std::string& key, const std::string& value) {
-  if (key.rfind("topo.", 0) == 0) {
-    topo[key.substr(5)] = value;
-    return;
-  }
-  if (key.rfind("traffic.", 0) == 0) {
-    traffic_opts[key.substr(8)] = value;
-    return;
-  }
-  if (key.rfind("workload.", 0) == 0) {
-    workload_opts[key.substr(9)] = value;
-    return;
-  }
-  // tenant<i>.<field>: auto-grows the tenant vector, so keys apply in any
-  // order (KvMap iteration delivers tenant0.* before the `tenants` count).
-  if (key.rfind("tenant", 0) == 0 && key.size() > 6 &&
-      key[6] >= '0' && key[6] <= '9') {
-    std::size_t pos = 6;
-    while (pos < key.size() && key[pos] >= '0' && key[pos] <= '9') ++pos;
-    if (pos >= key.size() || key[pos] != '.' || pos + 1 == key.size())
-      throw std::invalid_argument("scenario key '" + key +
-                                  "' expects tenant<i>.<field>");
-    const auto idx =
-        static_cast<std::size_t>(to_long(key, key.substr(6, pos - 6)));
-    if (idx >= 64)
-      throw std::invalid_argument("scenario key '" + key +
-                                  "': tenant index must be < 64");
-    const std::string field = key.substr(pos + 1);
-    if (tenant.size() <= idx) tenant.resize(idx + 1);
-    TenantKeys& t = tenant[idx];
-    if (field == "workload") {
-      t.workload = value;
-    } else if (field == "placement") {
-      t.placement = value;
-    } else if (field == "chips") {
-      t.chips = value;
-    } else {
-      t.opts[field] = value;
-    }
-    return;
-  }
-  // The fault.* family is typed here (not a pass-through map): the keys are
-  // few and validation should fail at parse time, not at build time.
-  if (key == "fault.rate") {
-    const double r = to_double(key, value);
-    if (r < 0.0 || r > 1.0)
-      throw std::invalid_argument(
-          "scenario key 'fault.rate' expects a fraction in [0, 1]");
-    fault.rate = r;
-    return;
-  }
-  if (key == "fault.kind") {
-    fault.kind = topo::parse_fault_kind(value);
-    return;
-  }
-  if (key == "fault.seed") {
-    fault.seed = static_cast<std::uint64_t>(to_long(key, value));
-    return;
-  }
-  if (key == "fault.chips") {
-    fault.chips = to_chips(value);
-    return;
-  }
-  if (key == "fault.events") {
-    // Parse now so a malformed timeline fails at config-read time with the
-    // typed FaultError message; the string is kept and re-resolved against
-    // the finalized network in build_network().
-    topo::parse_fault_events(value);
-    fault.events = value;
-    return;
-  }
-  if (key == "fault.schedule") {
-    fault.schedule = value;  // file existence/contents checked at build time
-    return;
-  }
-  if (key == "fault.rescue") {
-    const long n = to_long(key, value);
-    if (n != 0 && n != 1)
-      throw std::invalid_argument(
-          "scenario key 'fault.rescue' expects 0 or 1");
-    fault.rescue = n != 0;
-    return;
-  }
-  if (key == "fault.plane") {
-    const long n = to_long(key, value);
-    if (n < -1)
-      throw std::invalid_argument(
-          "scenario key 'fault.plane' expects a plane index >= 0, or -1 "
-          "for all planes");
-    fault.plane = static_cast<int>(n);
-    return;
-  }
-  if (key == "plane.count") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'plane.count' expects a count >= 1");
-    plane_count = static_cast<int>(n);
-    return;
-  }
-  if (key == "plane.mix") {
-    plane_mix.clear();
-    std::stringstream ms(value);
-    std::string item;
-    while (std::getline(ms, item, ',')) {
-      item = Cli::trim(item);
-      if (item.empty())
-        throw std::invalid_argument(
-            "scenario key 'plane.mix' has an empty topology name");
-      plane_mix.push_back(item);
-    }
-    if (plane_mix.empty())
-      throw std::invalid_argument(
-          "scenario key 'plane.mix' expects comma-separated topology names");
-    return;
-  }
-  if (key == "plane.policy") {
-    plane_policy = route::parse_plane_policy(value);
-    return;
-  }
-  if (key == "wafer.count") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.count' expects a count >= 1");
-    wafer_count = static_cast<int>(n);
-    return;
-  }
-  if (key == "wafer.latency") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.latency' expects a cycle count >= 1");
-    wafer_latency = static_cast<int>(n);
-    return;
-  }
-  if (key == "wafer.width") {
-    // A token fraction: `num/den` or a plain integer multiplier.
-    long num = 0, den = 1;
-    const auto slash = value.find('/');
-    const bool ok =
-        slash == std::string::npos
-            ? Cli::parse_long(Cli::trim(value), num)
-            : Cli::parse_long(Cli::trim(value.substr(0, slash)), num) &&
-                  Cli::parse_long(Cli::trim(value.substr(slash + 1)), den);
-    if (!ok || num < 1 || den < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.width' expects a positive width `N` or "
-          "fraction `N/D`, got '" + value + "'");
-    wafer_width_num = static_cast<int>(num);
-    wafer_width_den = static_cast<int>(den);
-    return;
-  }
-  if (key == "trace.file") {
-    trace_file = value;
-    return;
-  }
-  if (key == "trace.seed") {
-    trace_seed = static_cast<std::uint64_t>(to_long(key, value));
-    return;
-  }
-  if (key == "tenants") {
-    const long n = to_long(key, value);
-    if (n < 0)
-      throw std::invalid_argument(
-          "scenario key 'tenants' expects a count >= 0");
-    tenants = static_cast<int>(n);
-    return;
-  }
-  if (key == "tenants.isolation") {
-    const long n = to_long(key, value);
-    if (n != 0 && n != 1)
-      throw std::invalid_argument(
-          "scenario key 'tenants.isolation' expects 0 or 1");
-    tenants_isolation = n != 0;
-    return;
-  }
-  if (key == "label") {
-    label = value;
-  } else if (key == "topology") {
-    topology = value;
-  } else if (key == "traffic") {
-    traffic = value;
-  } else if (key == "workload") {
-    workload = value;
-  } else if (key == "mode") {
-    mode = route::parse_route_mode(value);
-  } else if (key == "scheme") {
-    scheme = route::parse_vc_scheme(value);
-  } else if (key == "rates") {
-    rates = to_rates(value);
-  } else if (key == "max_rate") {
-    max_rate = to_double(key, value);
-  } else if (key == "points") {
-    points = static_cast<int>(to_long(key, value));
-  } else if (key == "stop_factor") {
-    stop_latency_factor = to_double(key, value);
-  } else if (key == "threads") {
-    // Sweep-point parallelism: a count, or "auto"/0 for hardware concurrency.
-    if (value == "auto") {
-      threads = 0;
-    } else {
-      const long n = to_long(key, value);
-      if (n < 0)
-        throw std::invalid_argument(
-            "scenario key 'threads' expects a count >= 0 or 'auto'");
-      threads = static_cast<unsigned>(n);
-    }
-  } else if (key == "shards") {
-    // Intra-simulation engine shards: a count, or "auto"/0 to defer to the
-    // SLDF_SHARDS environment variable (sim::resolve_shards). Orthogonal
-    // to `threads`: threads parallelizes across sweep points, shards
-    // parallelizes inside each simulation — results are bit-identical
-    // either way.
-    if (value == "auto") {
-      sim.shards = 0;
-    } else {
-      const long n = to_long(key, value);
-      if (n < 0)
-        throw std::invalid_argument(
-            "scenario key 'shards' expects a count >= 0 or 'auto'");
-      sim.shards = static_cast<int>(n);
-    }
-  } else if (key == "warmup") {
-    sim.warmup = to_long(key, value);
-  } else if (key == "measure") {
-    sim.measure = to_long(key, value);
-  } else if (key == "drain") {
-    sim.drain = to_long(key, value);
-  } else if (key == "pkt_len") {
-    sim.pkt_len = static_cast<int>(to_long(key, value));
-  } else if (key == "seed") {
-    sim.seed = static_cast<std::uint64_t>(to_long(key, value));
-  } else if (key == "max_src_queue") {
-    sim.max_src_queue = static_cast<int>(to_long(key, value));
-  } else {
+  const ScenarioKey* k = find_key(key);
+  if (k == nullptr)
     throw std::invalid_argument("unknown scenario key '" + key + "'");
-  }
+  k->parse(*this, key, value);
 }
 
 KvMap ScenarioSpec::to_kv() const {
   KvMap kv;
-  kv["label"] = label;
-  kv["topology"] = topology;
-  kv["traffic"] = traffic;
-  if (!workload.empty()) kv["workload"] = workload;
-  kv["mode"] = route::to_string(mode);
-  kv["scheme"] = route::to_string(scheme);
-  if (!rates.empty()) {
-    std::string joined;
-    for (double r : rates) {
-      if (!joined.empty()) joined += ",";
-      joined += format_num(r);
-    }
-    kv["rates"] = joined;
-  } else {
-    kv["max_rate"] = format_num(max_rate);
-    kv["points"] = std::to_string(points);
-  }
-  kv["stop_factor"] = format_num(stop_latency_factor);
-  kv["threads"] = threads == 0 ? "auto" : std::to_string(threads);
-  kv["shards"] = sim.shards == 0 ? "auto" : std::to_string(sim.shards);
-  kv["warmup"] = std::to_string(sim.warmup);
-  kv["measure"] = std::to_string(sim.measure);
-  kv["drain"] = std::to_string(sim.drain);
-  kv["pkt_len"] = std::to_string(sim.pkt_len);
-  kv["seed"] = std::to_string(sim.seed);
-  kv["max_src_queue"] = std::to_string(sim.max_src_queue);
-  // Fault keys serialize only when set, so fault-free specs round-trip to
-  // fault-free configs.
-  if (fault.rate > 0.0) kv["fault.rate"] = format_num(fault.rate);
-  if (fault.kind != topo::FaultKind::Any)
-    kv["fault.kind"] = topo::to_string(fault.kind);
-  if (fault.seed != topo::FaultSpec{}.seed)
-    kv["fault.seed"] = std::to_string(fault.seed);
-  if (!fault.chips.empty()) {
-    std::string joined;
-    for (const ChipId c : fault.chips) {
-      if (!joined.empty()) joined += ",";
-      joined += std::to_string(c);
-    }
-    kv["fault.chips"] = joined;
-  }
-  if (!fault.events.empty()) kv["fault.events"] = fault.events;
-  if (!fault.schedule.empty()) kv["fault.schedule"] = fault.schedule;
-  if (!fault.rescue) kv["fault.rescue"] = "0";
-  if (fault.plane >= 0) kv["fault.plane"] = std::to_string(fault.plane);
-  // Plane keys serialize only when engaged (count 0 = classic build path).
-  if (plane_count > 0) {
-    kv["plane.count"] = std::to_string(plane_count);
-    kv["plane.policy"] = std::string(route::to_string(plane_policy));
-    if (!plane_mix.empty()) {
-      std::string joined;
-      for (const std::string& t : plane_mix) {
-        if (!joined.empty()) joined += ",";
-        joined += t;
-      }
-      kv["plane.mix"] = joined;
-    }
-  }
-  // Wafer keys serialize only when engaged (count 0 = classic build path).
-  if (wafer_count > 0) {
-    kv["wafer.count"] = std::to_string(wafer_count);
-    const ScenarioSpec defaults;
-    if (wafer_latency != defaults.wafer_latency)
-      kv["wafer.latency"] = std::to_string(wafer_latency);
-    if (wafer_width_num != defaults.wafer_width_num ||
-        wafer_width_den != defaults.wafer_width_den)
-      kv["wafer.width"] = wafer_width_den == 1
-                              ? std::to_string(wafer_width_num)
-                              : std::to_string(wafer_width_num) + "/" +
-                                    std::to_string(wafer_width_den);
-  }
-  // Tenant/trace keys serialize only when set, mirroring the fault keys.
-  if (tenants > 0) kv["tenants"] = std::to_string(tenants);
-  if (!tenants_isolation) kv["tenants.isolation"] = "0";
-  for (std::size_t i = 0; i < tenant.size(); ++i) {
-    const std::string pfx = "tenant" + std::to_string(i) + ".";
-    const TenantKeys& t = tenant[i];
-    if (!t.workload.empty()) kv[pfx + "workload"] = t.workload;
-    if (!t.placement.empty()) kv[pfx + "placement"] = t.placement;
-    if (!t.chips.empty()) kv[pfx + "chips"] = t.chips;
-    for (const auto& [k, v] : t.opts) kv[pfx + k] = v;
-  }
-  if (!trace_file.empty()) kv["trace.file"] = trace_file;
-  if (trace_seed != ScenarioSpec{}.trace_seed)
-    kv["trace.seed"] = std::to_string(trace_seed);
-  for (const auto& [k, v] : topo) kv["topo." + k] = v;
-  for (const auto& [k, v] : traffic_opts) kv["traffic." + k] = v;
-  for (const auto& [k, v] : workload_opts) kv["workload." + k] = v;
+  for (const ScenarioKey& k : scenario_keys()) k.show(*this, k.name, kv);
   return kv;
 }
 
@@ -421,175 +551,11 @@ std::vector<double> ScenarioSpec::effective_rates() const {
   return linspace_rates(max_rate, points);
 }
 
-const std::vector<ScenarioKeyDoc>& scenario_key_docs() {
-  // The one table every rendering of the key vocabulary derives from:
-  // scenario_keys() (flag recognition) and the generated README reference
-  // (core::render_scenario_reference). Prefix families carry a '<' in the
-  // key and are excluded from scenario_keys(). Defaults are rendered from
-  // a default-constructed spec so they cannot drift from the code.
-  static const std::vector<ScenarioKeyDoc> docs = [] {
-    const ScenarioSpec d;
-    const auto num = [](double v) { return format_num(v); };
-    const auto integer = [](auto v) { return std::to_string(v); };
-    return std::vector<ScenarioKeyDoc>{
-        {"label", "Series label in tables/CSV", d.label},
-        {"topology", "Topology registry name (see Topologies)", d.topology},
-        {"topo.<param>",
-         "Topology parameter override, e.g. `topo.g = 15` (see Topologies)",
-         "preset values"},
-        {"mode", "Routing: `minimal` \\| `valiant` \\| `adaptive`",
-         std::string(route::to_string(d.mode))},
-        {"scheme", "VC scheme: `baseline` \\| `reduced` \\| `reduced-safe`",
-         std::string(route::to_string(d.scheme))},
-        {"traffic", "Traffic registry name (see Traffic patterns)",
-         d.traffic},
-        {"traffic.<opt>",
-         "Traffic pattern option, e.g. `traffic.scope = wgroup` (see "
-         "Traffic patterns)",
-         "pattern defaults"},
-        {"workload",
-         "Workload registry name; switches to one closed-loop "
-         "message-level run (see Workloads)",
-         "unset (rate sweep)"},
-        {"workload.<opt>",
-         "Workload generator/runner option, e.g. `workload.kib = 64` (see "
-         "Workloads)",
-         "workload defaults"},
-        {"rates", "Explicit offered loads, comma-separated (rate sweeps)",
-         "unset"},
-        {"max_rate", "With `points`, linspace(0, max] when `rates` is unset",
-         num(d.max_rate)},
-        {"points", "Sweep points when `rates` is unset", integer(d.points)},
-        {"stop_factor",
-         "Early-stop when latency exceeds this x zero-load latency",
-         num(d.stop_latency_factor)},
-        {"threads",
-         "Sweep-point parallelism within one series (`auto`/0 = hardware)",
-         integer(d.threads)},
-        {"shards",
-         "Intra-simulation engine shards — N threads per simulation, "
-         "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env "
-         "or 1)",
-         "auto"},
-        {"warmup", "Warmup cycles (Table IV: 5000)", integer(d.sim.warmup)},
-        {"measure", "Measured cycles (Table IV: 10000)",
-         integer(d.sim.measure)},
-        {"drain", "Extra cycles to let measured packets land",
-         integer(d.sim.drain)},
-        {"pkt_len", "Flits per packet", integer(d.sim.pkt_len)},
-        {"seed", "Base RNG seed", integer(d.sim.seed)},
-        {"max_src_queue", "Per-node source-queue cap (packets)",
-         integer(d.sim.max_src_queue)},
-        {"fault.rate",
-         "Fraction of candidate cables to fail (deterministic, seeded; see "
-         "Resilience)",
-         num(d.fault.rate)},
-        {"fault.kind",
-         "Failed-link class: `any` \\| `intra` \\| `local` \\| `global`",
-         std::string(topo::to_string(d.fault.kind))},
-        {"fault.seed", "Fault-set RNG seed (independent of `seed`)",
-         integer(d.fault.seed)},
-        {"fault.chips", "Chips to fail entirely, comma-separated ids",
-         "unset"},
-        {"fault.events",
-         "Online fault timeline, `fail|repair@<cycle>:<kind>=<rate>` or "
-         "`...:chip<N>`, `;`-separated (see Resilience)",
-         "unset"},
-        {"fault.schedule",
-         "Fault-timeline file (`sldf-faults 1` format); exclusive with "
-         "`fault.events`",
-         "unset"},
-        {"fault.rescue",
-         "Retransmit packets torn by an online failure (`0`: drop and "
-         "count them)",
-         d.fault.rescue ? "1" : "0"},
-        {"fault.plane",
-         "Restrict cable failures to one plane of a multi-plane fabric "
-         "(`-1` = all planes; `fault.chips` always spans planes)",
-         "-1 (all planes)"},
-        {"plane.count",
-         "Independent fabric planes (rails) sharing the logical chips; "
-         "packets pick a plane at injection (see Multi-plane fabrics)",
-         "unset (classic single-fabric build)"},
-        {"plane.mix",
-         "Per-plane topology registry names, comma-separated (length = "
-         "`plane.count`)",
-         "`plane.count` copies of `topology`"},
-        {"plane.policy",
-         "Plane selection: `hash` \\| `rr` \\| `adaptive` \\| `collective`",
-         std::string(route::to_string(d.plane_policy))},
-        {"wafer.count",
-         "Wafer-on-wafer stack depth: that many copies of `topology` bonded "
-         "by vertical inter-wafer cables, one vertical hop max (see "
-         "Wafer stacks)",
-         "unset (classic single-fabric build)"},
-        {"wafer.latency", "Vertical-bond channel latency, cycles",
-         integer(d.wafer_latency)},
-        {"wafer.width",
-         "Vertical-bond token width, `N` or fraction `N/D` of a flit per "
-         "cycle",
-         integer(d.wafer_width_num)},
-        {"tenants",
-         "Concurrent tenant jobs; > 0 switches to one shared multi-tenant "
-         "serving run (see Multi-tenancy)",
-         "0 (single job)"},
-        {"tenants.isolation",
-         "Also run each tenant alone on its placement and report the "
-         "interference ratio (`0` disables the baselines)",
-         d.tenants_isolation ? "1" : "0"},
-        {"tenant<i>.workload",
-         "Tenant i's workload registry name (required for each tenant)",
-         "unset"},
-        {"tenant<i>.placement",
-         "Tenant i's chip placement: `contiguous` \\| `scattered`",
-         "contiguous"},
-        {"tenant<i>.chips",
-         "Tenant i's chips: a count to allocate, or explicit "
-         "comma-separated ids",
-         "unset"},
-        {"tenant<i>.<opt>",
-         "Workload option for tenant i, e.g. `tenant0.kib = 64` (see "
-         "Workloads)",
-         "workload defaults"},
-        {"trace.file",
-         "Trace file the `trace-replay` workload replays (see Multi-"
-         "tenancy)",
-         "unset"},
-        {"trace.seed",
-         "Seed for synthesized `request-reply` arrivals (independent of "
-         "`seed`)",
-         integer(d.trace_seed)},
-    };
-  }();
-  return docs;
-}
-
-const std::vector<std::string>& scenario_keys() {
-  static const std::vector<std::string> keys = [] {
-    std::vector<std::string> out;
-    for (const auto& d : scenario_key_docs())
-      if (d.key.find('<') == std::string::npos) out.push_back(d.key);
-    return out;
-  }();
-  return keys;
-}
-
 ScenarioSpec spec_from_cli(const Cli& cli, const ScenarioSpec& defaults,
                            std::vector<std::string>* unused) {
   ScenarioSpec s = defaults;
   for (const auto& [key, value] : cli.entries()) {
-    const bool prefixed = key.rfind("topo.", 0) == 0 ||
-                          key.rfind("traffic.", 0) == 0 ||
-                          key.rfind("workload.", 0) == 0 ||
-                          key.rfind("fault.", 0) == 0 ||
-                          key.rfind("plane.", 0) == 0 ||
-                          key.rfind("wafer.", 0) == 0 ||
-                          key.rfind("trace.", 0) == 0 ||
-                          key.rfind("tenant", 0) == 0;
-    const auto& keys = scenario_keys();
-    const bool known =
-        prefixed || std::find(keys.begin(), keys.end(), key) != keys.end();
-    if (!known) {
+    if (!is_scenario_key(key)) {
       if (unused) unused->push_back(key);
       continue;
     }

@@ -7,6 +7,7 @@
 // hand-wired main().
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,13 +94,10 @@ struct ScenarioSpec {
   unsigned threads = 1;  ///< Sweep-point parallelism (0 = auto; see set()).
   sim::SimConfig sim;                ///< Cycle counts, packet length, seed.
 
-  /// Applies one `key = value` setting (the config/CLI vocabulary: label,
-  /// topology, traffic, workload, mode, scheme, rates, max_rate, points,
-  /// stop_factor, threads, warmup, measure, drain, pkt_len, seed,
-  /// max_src_queue, the fault.* / trace.* keys, tenants,
-  /// tenants.isolation, plus prefixed topo.* / traffic.* / workload.* /
-  /// tenant<i>.* entries). Throws std::invalid_argument on unknown keys
-  /// or malformed values.
+  /// Applies one `key = value` setting: the key is looked up in
+  /// scenario_keys() and its parser enforces the value's type and range.
+  /// Throws std::invalid_argument, naming the key, on unknown keys or
+  /// malformed or out-of-range values.
   void set(const std::string& key, const std::string& value);
 
   /// Serializes every setting back to the config vocabulary; a spec
@@ -118,21 +116,30 @@ struct ScenarioSpec {
   }
 };
 
-/// The non-prefixed keys ScenarioSpec::set understands (for flag warnings).
-const std::vector<std::string>& scenario_keys();
-
-/// Documentation row of one scenario key (or one prefix family like
-/// `topo.<param>`), the source of the generated key reference. Defaults
-/// are rendered from ScenarioSpec{}/SimConfig{} so the reference cannot
-/// drift from the code.
-struct ScenarioKeyDoc {
-  std::string key;
-  std::string meaning;
-  std::string def;
+/// One entry of the scenario-key table: a key, or a family like
+/// `topo.<param>` or `tenant<i>.<opt>` (`<i>` stands for a tenant index, a
+/// trailing `<...>` for any non-empty remainder). ScenarioSpec::set(),
+/// to_kv(), flag recognition, the driver's usage text and the generated
+/// README reference all read this one table.
+struct ScenarioKey {
+  std::string name;
+  std::string meaning;  ///< Reference text (Markdown).
+  std::string def;      ///< Rendered default, from ScenarioSpec{}.
+  /// Applies the value of `key` (an instance of `name`) to the spec.
+  std::function<void(ScenarioSpec&, const std::string& key,
+                     const std::string& value)>
+      parse;
+  /// Writes the spec's setting(s) under `name` into the map, or nothing
+  /// when the spec leaves them at their omitted default.
+  std::function<void(const ScenarioSpec&, const std::string& name, KvMap&)>
+      show;
 };
-const std::vector<ScenarioKeyDoc>& scenario_key_docs();
+/// The table, in reference order. Built once per process.
+const std::vector<ScenarioKey>& scenario_keys();
+/// True when `key` is a scenario key or an instance of a key family.
+bool is_scenario_key(const std::string& key);
 
-/// Builds a spec from parsed CLI flags. Keys that are not scenario keys are
+/// Builds a spec from parsed CLI flags. Keys is_scenario_key() rejects are
 /// appended to `unused` (when given) instead of throwing, so drivers can
 /// consume their own flags and warn about the rest.
 ScenarioSpec spec_from_cli(const Cli& cli, const ScenarioSpec& defaults = {},

@@ -25,12 +25,6 @@ struct Channel {
   std::uint16_t width_num = 1;
   std::uint16_t width_den = 1;
   LinkType type = LinkType::OnChip;
-
-  // Flat offset precomputed by Network::finalize(): VC v of the input port
-  // this channel feeds is `dst_vc_base + v` in the network's input-VC
-  // arrays (FIFO arena / ivc_meta). Deliveries use it directly instead of
-  // re-deriving router/port offsets.
-  std::uint32_t dst_vc_base = 0;
 };
 
 }  // namespace sldf::sim

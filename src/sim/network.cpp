@@ -40,7 +40,9 @@ NodeId Network::add_router(NodeKind kind) {
 
 ChanId Network::add_channel(NodeId src, NodeId dst, LinkType type, int latency,
                             int width_num, int width_den) {
-  if (latency < 1) throw std::invalid_argument("channel latency must be >= 1");
+  if (latency < 1 || latency > 0xff)
+    throw std::invalid_argument("channel latency must be in [1, 255], got " +
+                                std::to_string(latency));
   if (width_num < 1 || width_den < 1)
     throw std::invalid_argument("channel width must be positive");
   Channel c;
@@ -158,14 +160,10 @@ void Network::finalize(int num_vcs, int vc_buf_flits) {
               static_cast<std::uint32_t>(vc_buf_flits),
               pack_ivc(kInvalidPort, kInvalidVc, IvcState::Idle));
 
-  // Cache each channel's destination offset for the delivery hot path and
-  // the compact chan -> src_port table for the routing hot path.
+  // The compact chan -> src_port table for the routing hot path.
   src_port_by_chan_.resize(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    channels_[i].dst_vc_base =
-        in_vc_index(channels_[i].dst, channels_[i].dst_port, 0);
+  for (std::size_t i = 0; i < channels_.size(); ++i)
     src_port_by_chan_[i] = channels_[i].src_port;
-  }
 
   // Lay out the per-output-port records: five fixed words + one u32 word
   // per VC holding the two u16 lanes (credit word + requester slot). The
@@ -181,7 +179,7 @@ void Network::finalize(int num_vcs, int vc_buf_flits) {
           port_rec(static_cast<std::uint32_t>(out_port_base_[i] + p));
       if (r.out[p].out_chan != kInvalidChan) {
         const Channel& c = chan(r.out[p].out_chan);
-        rec[kDstVcBase] = c.dst_vc_base;
+        rec[kDstVcBase] = in_vc_index(c.dst, c.dst_port, 0);
         rec[kDstNode] = static_cast<std::uint32_t>(c.dst);
         rec[kLinkMeta] =
             static_cast<std::uint32_t>(c.latency) |
@@ -242,29 +240,16 @@ void Network::restore_fault_baseline() {
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (chan_alive_[i] == baseline_chan_alive_[i]) continue;
     changed = true;
-    const Channel& ch = channels_[i];
-    std::uint32_t* rec = port_rec(out_port_index(ch.src, ch.src_port));
-    if (baseline_chan_alive_[i]) {
-      chan_alive_[i] = 1;
-      --dead_channels_;
-      rec[kLinkMeta] |= static_cast<std::uint32_t>(ch.width_num) << 16;
-      rec[0] = (rec[0] & 0xffffu) |
-               ((static_cast<std::uint32_t>(ch.width_num) +
-                 static_cast<std::uint32_t>(ch.width_den))
-                << 16);
-      rec[kTokenCycle] = 0;
-    } else {
-      chan_alive_[i] = 0;
-      ++dead_channels_;
-      rec[kLinkMeta] &= ~(0xffu << 16);
-      rec[0] &= 0xffffu;  // bucket -> 0; count/rr untouched
-    }
+    const auto c = static_cast<ChanId>(i);
+    if (baseline_chan_alive_[i])
+      enable_channel(c, 0);
+    else
+      disable_channel(c);
   }
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     if (node_alive_[i] == baseline_node_alive_[i]) continue;
     changed = true;
-    node_alive_[i] = baseline_node_alive_[i];
-    dead_nodes_ += baseline_node_alive_[i] ? -1 : 1;
+    set_node_alive(static_cast<NodeId>(i), baseline_node_alive_[i] != 0);
   }
   if (changed) ++fault_epoch_;
 }

@@ -4,6 +4,7 @@
 // unknown names/keys/values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/cli.hpp"
@@ -101,6 +102,55 @@ TEST(ScenarioSpec, MalformedValuesThrow) {
   EXPECT_THROW(s.set("mode", "psychic"), std::invalid_argument);
   EXPECT_THROW(s.set("scheme", "none"), std::invalid_argument);
   EXPECT_THROW(s.set("rates", "0.1,oops"), std::invalid_argument);
+  // Out-of-range values fail at parse time, naming the key, instead of
+  // simulating garbage (a NaN table, a wrapped cycle count, a truncated
+  // channel latency).
+  const std::vector<std::pair<std::string, std::string>> out_of_range = {
+      {"pkt_len", "0"},        {"pkt_len", "65536"},
+      {"measure", "0"},        {"warmup", "-5"},
+      {"drain", "-1"},         {"points", "0"},
+      {"points", "-3"},        {"max_rate", "-1"},
+      {"max_rate", "inf"},     {"rates", "0.1,-0.2"},
+      {"rates", "nan"},        {"max_src_queue", "0"},
+      {"stop_factor", "-1"},   {"wafer.latency", "0"},
+      {"wafer.latency", "257"}};
+  for (const auto& [key, value] : out_of_range) {
+    try {
+      s.set(key, value);
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ScenarioKeys, FamiliesMatchOnlyWellFormedInstances) {
+  for (const char* key :
+       {"warmup", "fault.kind", "topo.g", "traffic.scope", "workload.kib",
+        "tenants", "tenants.isolation", "tenant0.workload", "tenant12.kib"})
+    EXPECT_TRUE(core::is_scenario_key(key)) << key;
+  for (const char* key : {"wamrup", "fault.typo", "fault", "topo.", "tenant",
+                          "tenant3", "tenant3.", "tenantx.kib"})
+    EXPECT_FALSE(core::is_scenario_key(key)) << key;
+}
+
+TEST(ScenarioKeys, FaultKindRowListsEveryParsedKind) {
+  const auto& keys = core::scenario_keys();
+  const auto row = std::find_if(keys.begin(), keys.end(), [](const auto& k) {
+    return k.name == "fault.kind";
+  });
+  ASSERT_NE(row, keys.end());
+  for (const auto kind :
+       {topo::FaultKind::Any, topo::FaultKind::Intra, topo::FaultKind::Local,
+        topo::FaultKind::Global, topo::FaultKind::Vertical}) {
+    const std::string name = topo::to_string(kind);
+    EXPECT_NE(row->meaning.find("`" + name + "`"), std::string::npos) << name;
+    ScenarioSpec s;
+    s.set("fault.kind", name);
+    EXPECT_EQ(s.fault.kind, kind);
+  }
 }
 
 // ----------------------------------------------------------------- parsing ---
@@ -115,8 +165,9 @@ TEST(ScenarioParse, CliFlagsBecomeSpec) {
                         "--traffic.hot_groups=2",
                         "--max_rate=0.5",
                         "--points=3",
-                        "--my-driver-flag=7"};
-  const Cli cli(10, const_cast<char**>(argv));
+                        "--my-driver-flag=7",
+                        "--fault.typo=1"};
+  const Cli cli(11, const_cast<char**>(argv));
   std::vector<std::string> unused;
   const auto s = core::spec_from_cli(cli, {}, &unused);
   EXPECT_EQ(s.topology, "tiny-swless");
@@ -127,8 +178,9 @@ TEST(ScenarioParse, CliFlagsBecomeSpec) {
   EXPECT_EQ(s.traffic_opts.at("hot_groups"), "2");
   EXPECT_DOUBLE_EQ(s.max_rate, 0.5);
   EXPECT_EQ(s.points, 3);
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "my-driver-flag");
+  // Flags the key table does not know are handed back, prefixed or not.
+  EXPECT_EQ(unused,
+            (std::vector<std::string>{"fault.typo", "my-driver-flag"}));
 }
 
 TEST(ScenarioParse, ConfigSectionsInheritBaseKeys) {

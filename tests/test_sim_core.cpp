@@ -229,6 +229,17 @@ TEST(SimCore, NetworkValidationThrows) {
   FixedTraffic tr(1);
   Network empty;
   EXPECT_THROW(Simulator(empty, cfg, tr), std::logic_error);
+  // Channel latency lives in a u8 field: out-of-range values are refused,
+  // never truncated.
+  Network raw;
+  const NodeId a = raw.add_router(NodeKind::Core);
+  const NodeId b = raw.add_router(NodeKind::Core);
+  EXPECT_THROW(raw.add_channel(a, b, LinkType::OnChip, 0),
+               std::invalid_argument);
+  EXPECT_THROW(raw.add_channel(a, b, LinkType::OnChip, 256),
+               std::invalid_argument);
+  EXPECT_EQ(raw.chan(raw.add_channel(a, b, LinkType::OnChip, 255)).latency,
+            255);
 }
 
 TEST(SimCore, FifoArenaRing) {

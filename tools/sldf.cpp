@@ -65,17 +65,22 @@ void print_usage() {
       "                       an sldf-trace file instead of running it\n"
       "  --help               this text\n"
       "\n"
-      "scenario keys (also valid in config files):\n"
-      "  label topology traffic workload mode scheme rates max_rate points\n"
-      "  stop_factor threads shards warmup measure drain pkt_len seed\n"
-      "  max_src_queue fault.rate fault.kind fault.seed fault.chips\n"
-      "  plane.count plane.mix plane.policy wafer.count wafer.latency\n"
-      "  wafer.width tenants tenants.isolation trace.file trace.seed\n"
-      "  topo.<param> traffic.<option> workload.<option> tenant<i>.<field>\n"
+      "scenario keys (also valid in config files; --doc-keys gives each\n"
+      "key's meaning and default):\n");
+  std::string line = " ";
+  for (const auto& k : core::scenario_keys()) {
+    if (line.size() + 1 + k.name.size() > 72) {
+      std::printf("%s\n", line.c_str());
+      line = " ";
+    }
+    line += " " + k.name;
+  }
+  std::printf(
+      "%s\n"
       "\n"
-      "  fault.rate=F deterministically fails F of the fault.kind\n"
-      "  (any|intra|local|global|vertical) cables (seeded by fault.seed)\n"
-      "  and routes around them; fault.chips=I,J,... fails whole chips.\n"
+      "  fault.rate=F deterministically fails F of the fault.kind cables\n"
+      "  (seeded by fault.seed) and routes around them; fault.chips=I,J,...\n"
+      "  fails whole chips.\n"
       "\n"
       "  wafer.count=W stacks W copies of the topology bonded by vertical\n"
       "  inter-wafer cables (one vertical hop max); mutually exclusive\n"
@@ -96,10 +101,11 @@ void print_usage() {
       "\n"
       "  tenants=N switches to one shared multi-tenant serving run: each\n"
       "  tenant<i>.workload/.placement/.chips names a job placed on its own\n"
-      "  disjoint chips (contiguous|scattered, fault-dead chips skipped).\n"
+      "  disjoint chips (fault-dead chips skipped).\n"
       "  All jobs execute in ONE simulation; the report is per-tenant TTC,\n"
       "  p50/p99 message latency, GB/s/chip, and (with tenants.isolation=1,\n"
-      "  the default) the interference ratio vs running alone.\n");
+      "  the default) the interference ratio vs running alone.\n",
+      line.c_str());
 }
 
 void print_entry_options(const std::vector<core::OptionDoc>& options) {
@@ -250,16 +256,10 @@ int main(int argc, char** argv) {
     if (cli.has("serve")) return run_serve(cli);
 
     // Warn about flags that are neither driver flags nor scenario keys.
-    std::vector<std::string> known = kDriverFlags;
-    for (const auto& key : core::scenario_keys()) known.push_back(key);
-    for (const auto& key : cli.unknown_keys(known)) {
-      if (key.rfind("topo.", 0) == 0 || key.rfind("traffic.", 0) == 0 ||
-          key.rfind("workload.", 0) == 0 || key.rfind("trace.", 0) == 0 ||
-          key.rfind("tenant", 0) == 0)
-        continue;
-      std::fprintf(stderr, "sldf: warning: unknown flag --%s (ignored)\n",
-                   key.c_str());
-    }
+    for (const auto& key : cli.unknown_keys(kDriverFlags))
+      if (!core::is_scenario_key(key))
+        std::fprintf(stderr, "sldf: warning: unknown flag --%s (ignored)\n",
+                     key.c_str());
 
     // Resolve the series: config file first, CLI keys override each series.
     std::vector<core::ScenarioSpec> series;
